@@ -1,12 +1,21 @@
 # Convenience entry points; everything is plain dune underneath.
 
-.PHONY: build test bench bench-full bench-smoke serve-smoke metrics-smoke proc-smoke chaos-smoke clean
+.PHONY: build test loc bench bench-full bench-smoke serve-smoke metrics-smoke proc-smoke chaos-smoke clean
 
 build:
 	dune build
 
 test:
 	dune runtest
+
+# Source size per library: .ml + .mli lines under each lib/* directory,
+# then the total. Each change states its net line count per library.
+loc:
+	@for d in lib/*/; do \
+	  printf '%-16s %6d\n' "$$(basename $$d)" \
+	    "$$(cat $$d*.ml $$d*.mli 2>/dev/null | wc -l)"; \
+	done
+	@printf '%-16s %6d\n' total "$$(cat lib/*/*.ml lib/*/*.mli | wc -l)"
 
 # Full experiment regeneration (slow: every table E1-E14, A, B, B6-B10).
 bench:

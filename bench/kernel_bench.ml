@@ -84,13 +84,12 @@ let mode_domains = function
   | Engine.Naive | Engine.Seq | Engine.Shard _ | Engine.Proc _ -> 1
   | Engine.Par p -> p
 
-(* Run [f], capturing total step executions through the trace sink. *)
+(* Run [f], capturing total step executions through a trace subscription. *)
 let timed_with_steps f =
   let traces = ref [] in
-  let saved = !Engine.trace_sink in
-  Engine.trace_sink := Some (fun t -> traces := t :: !traces);
+  let sub = Tl_engine.Driver.subscribe (fun t -> traces := t :: !traces) in
   Fun.protect
-    ~finally:(fun () -> Engine.trace_sink := saved)
+    ~finally:(fun () -> Tl_engine.Driver.unsubscribe sub)
     (fun () ->
       let t0 = Unix.gettimeofday () in
       let r = f () in
@@ -871,10 +870,9 @@ let flat_bench_n () =
    deterministic per mode, so one extra run outside the timing loop. *)
 let flat_steps_of f =
   let traces = ref [] in
-  let saved = !Engine.trace_sink in
-  Engine.trace_sink := Some (fun t -> traces := t :: !traces);
+  let sub = Tl_engine.Driver.subscribe (fun t -> traces := t :: !traces) in
   Fun.protect
-    ~finally:(fun () -> Engine.trace_sink := saved)
+    ~finally:(fun () -> Tl_engine.Driver.unsubscribe sub)
     (fun () ->
       ignore (f ());
       List.fold_left

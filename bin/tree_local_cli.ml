@@ -164,8 +164,9 @@ let setup_engine mode trace_file =
   match trace_file with
   | None -> ()
   | Some file ->
-    Engine.trace_sink :=
-      Some (fun t -> collected_traces := t :: !collected_traces);
+    ignore
+      (Tl_engine.Driver.subscribe (fun t ->
+           collected_traces := t :: !collected_traces));
     (* write on exit so traces survive the [exit 1] of a failed report *)
     at_exit_flush "trace" (fun () ->
         let ts = List.rev !collected_traces in

@@ -70,24 +70,10 @@ let sched_to_string = function
   | Full_scan -> "full-scan"
 
 let default_mode = ref Seq
-let trace_sink : (Trace.t -> unit) option ref = ref None
 
-(* Second per-run delivery hook, owned by Tl_obs.Metrics (which sits
-   above this library in the DAG and cannot be called directly from
-   here). Kept separate from [trace_sink] so the CLI's --trace and the
-   metrics registry can coexist without chaining through each other. *)
-let metrics_sink : (Trace.t -> unit) option ref = ref None
-
-(* Fault-injection gate, owned by Tl_fault.Injector (above this library
-   in the DAG, like the sinks). Consulted once per committed round;
-   [false] interrupts the run at that round boundary — the stepper
-   returns the states as committed, [rounds] counting only the executed
-   rounds, and skips the max_rounds failure. Disarmed runs pay one ref
-   read per round and nothing per node. *)
-let fault_gate : (round:int -> bool) option ref = ref None
-
-let gate_open ~round =
-  match !fault_gate with None -> true | Some g -> g ~round
+(* The fault gate lives in the driver; these are its engine-facing names. *)
+let fault_gate = Driver.fault_gate
+let gate_open = Driver.gate_open
 
 type 'state outcome = { states : 'state array; rounds : int }
 
@@ -98,141 +84,39 @@ type 'state step_fn =
   neighbors:(int * int * 'state) list ->
   'state
 
-(* The Shard mode's implementation lives in tl_shard (which depends on
-   this library) and registers itself here at load time. *)
-type shard_backend = {
-  sb_run :
+(* The Shard and Proc modes live in tl_shard / tl_proc (which depend on
+   this library) and register themselves here at load time. *)
+type backend = {
+  run :
     'state.
-    shards:int ->
+    count:int ->
     sched:scheduling ->
     equal:('state -> 'state -> bool) ->
+    halted:('state -> bool) option ->
     trace:Trace.t option ->
     topo:Topology.t ->
     init:(int -> 'state) ->
     step:'state step_fn ->
-    halted:('state -> bool) ->
-    max_rounds:int ->
-    'state outcome;
-  sb_run_until_stable :
-    'state.
-    shards:int ->
-    sched:scheduling ->
-    equal:('state -> 'state -> bool) ->
-    trace:Trace.t option ->
-    topo:Topology.t ->
-    init:(int -> 'state) ->
-    step:'state step_fn ->
-    max_rounds:int ->
-    'state outcome;
-  sb_run_rounds :
-    'state.
-    shards:int ->
-    sched:scheduling ->
-    equal:('state -> 'state -> bool) ->
-    trace:Trace.t option ->
-    topo:Topology.t ->
-    init:(int -> 'state) ->
-    step:'state step_fn ->
-    rounds:int ->
+    Driver.termination ->
     'state outcome;
 }
 
-let shard_backend : shard_backend option ref = ref None
+let shard_backend : backend option ref = ref None
+let proc_backend : backend option ref = ref None
 
-let get_shard_backend () =
-  match !shard_backend with
+let get_backend name r =
+  match !r with
   | Some b -> b
   | None ->
     failwith
-      "Engine: shard mode requested but the tl_shard backend is not linked"
-
-(* The Proc mode's implementation lives in tl_proc (one shard per Unix
-   process, halos over socketpairs) and registers itself here the same
-   way the shard backend does. Same rank-2 field shapes. *)
-type proc_backend = {
-  pb_run :
-    'state.
-    procs:int ->
-    sched:scheduling ->
-    equal:('state -> 'state -> bool) ->
-    trace:Trace.t option ->
-    topo:Topology.t ->
-    init:(int -> 'state) ->
-    step:'state step_fn ->
-    halted:('state -> bool) ->
-    max_rounds:int ->
-    'state outcome;
-  pb_run_until_stable :
-    'state.
-    procs:int ->
-    sched:scheduling ->
-    equal:('state -> 'state -> bool) ->
-    trace:Trace.t option ->
-    topo:Topology.t ->
-    init:(int -> 'state) ->
-    step:'state step_fn ->
-    max_rounds:int ->
-    'state outcome;
-  pb_run_rounds :
-    'state.
-    procs:int ->
-    sched:scheduling ->
-    equal:('state -> 'state -> bool) ->
-    trace:Trace.t option ->
-    topo:Topology.t ->
-    init:(int -> 'state) ->
-    step:'state step_fn ->
-    rounds:int ->
-    'state outcome;
-}
-
-let proc_backend : proc_backend option ref = ref None
-
-let get_proc_backend () =
-  match !proc_backend with
-  | Some b -> b
-  | None ->
-    failwith
-      "Engine: proc mode requested but the tl_proc backend is not linked"
+      (Printf.sprintf
+         "Engine: %s mode requested but the tl_%s backend is not linked" name
+         name)
 
 let now = Unix.gettimeofday
 
-(* ---------- trace plumbing ---------- *)
-
-let begin_trace ?trace ~label ~mode ~sched ~compile_s ~compile_cached topo =
-  let t =
-    match trace with
-    | Some t -> Some t
-    | None ->
-      if !trace_sink <> None || !metrics_sink <> None then
-        Some (Trace.create ~label ())
-      else None
-  in
-  Option.iter
-    (fun t ->
-      Trace.set_meta t ~mode:(mode_to_string mode)
-        ~scheduling:(sched_to_string sched)
-        ~n_base:(Topology.n_base topo)
-        ~n_present:(Topology.n_present topo);
-      Trace.set_compile_s t compile_s;
-      Trace.set_compile_cached t compile_cached)
-    t;
-  t
-
-(* Runs [f], then finishes and delivers the trace even if [f] raised
-   (so --trace still shows where a diverging run spent its rounds). *)
-let with_trace tr f =
-  let t0 = now () in
-  Fun.protect
-    ~finally:(fun () ->
-      Option.iter
-        (fun t ->
-          Trace.finish t ~total_s:(now () -. t0);
-          Option.iter (fun sink -> sink t) !trace_sink;
-          Option.iter (fun sink -> sink t) !metrics_sink)
-        tr)
-    f
-
+(* Trace recording for the naive reference only; every other stepper
+   records through the driver. *)
 let record tr ~round ~active ~changed ~unhalted ~t0 =
   Option.iter
     (fun t ->
@@ -348,17 +232,13 @@ let naive_run_rounds ~tr ~topo ~init ~step ~rounds:total =
     incr r
   done;
   { states; rounds = (if !interrupted then !executed else total) }
-
 (* ---------- the engine stepper (Seq / Par) ---------- *)
 
 type 'state core = {
   topo : Topology.t;
   cur : 'state array;  (* published states; committed in place *)
   scratch : 'state array;  (* round buffer: next state per active node *)
-  mutable active : int array;  (* active node ids, [0 .. n_active) *)
-  mutable n_active : int;
-  mutable spare : int array;  (* swap partner of [active] *)
-  dirty : bool array;  (* membership in the next active set *)
+  fr : Frontier.t;  (* the active set (all present nodes under Full_scan) *)
   equal : 'state -> 'state -> bool;
   sched : scheduling;
 }
@@ -367,22 +247,21 @@ let make_core ~topo ~sched ~equal ~init =
   let n = Topology.n_base topo in
   let cur = Array.init n (fun v -> init v) in
   let np = Topology.n_present topo in
-  let active = Array.sub topo.Topology.present_nodes 0 np in
   {
     topo;
     cur;
     scratch = Array.copy cur;
-    active;
-    n_active = np;
-    spare = Array.make (max 1 np) 0;
-    dirty = Array.make n false;
+    fr =
+      Frontier.create
+        ~active:(Array.sub topo.Topology.present_nodes 0 np)
+        ~universe:n ~dense:np;
     equal;
     sched;
   }
 
 let compute_range core step round lo hi =
   let cur = core.cur in
-  let active = core.active and scratch = core.scratch in
+  let active = core.fr.Frontier.active and scratch = core.scratch in
   let off = core.topo.Topology.off
   and adj = core.topo.Topology.adj
   and eid = core.topo.Topology.eid in
@@ -419,7 +298,7 @@ let par_grain = ref 2048
    are parked team members (spawned once per process), not per-round
    Domain.spawn. *)
 let compute core step round par =
-  let count = core.n_active in
+  let count = core.fr.Frontier.n_active in
   let p = max 1 (min par (min count Team.max_workers)) in
   if p = 1 || count <= !par_grain * p then compute_range core step round 0 count
   else begin
@@ -431,227 +310,110 @@ let compute core step round par =
 
 (* Commit phase (always sequential, O(active + changed * deg)): publish
    changed states into [cur], invoke [on_change], and under Active_set
-   rebuild the active set as {changed} ∪ N({changed}) via the dirty
-   flags. Unchanged nodes keep their state without any copying — this is
-   the buffer swap replacing the legacy copy + blit. *)
+   mark {changed} ∪ N({changed}) as the next active set. Unchanged nodes
+   keep their state without any copying — this is the buffer swap
+   replacing the legacy copy + blit. *)
 let commit core ~on_change =
   let changed = ref 0 in
-  let cur = core.cur and scratch = core.scratch in
-  let active = core.active and equal = core.equal in
-  (match core.sched with
-  | Full_scan ->
-    for i = 0 to core.n_active - 1 do
-      let v = active.(i) in
-      let s' = scratch.(v) in
-      if not (equal s' cur.(v)) then begin
-        incr changed;
-        cur.(v) <- s';
-        on_change v
-      end
-    done
-  | Active_set ->
-    let next = core.spare in
-    let k = ref 0 in
-    let dirty = core.dirty in
-    let off = core.topo.Topology.off and adj = core.topo.Topology.adj in
-    for i = 0 to core.n_active - 1 do
-      let v = active.(i) in
-      let s' = scratch.(v) in
-      if not (equal s' cur.(v)) then begin
-        incr changed;
-        cur.(v) <- s';
-        on_change v;
-        if not dirty.(v) then begin
-          dirty.(v) <- true;
-          next.(!k) <- v;
-          incr k
-        end;
+  let cur = core.cur and scratch = core.scratch and equal = core.equal in
+  let fr = core.fr in
+  let active = fr.Frontier.active in
+  let off = core.topo.Topology.off and adj = core.topo.Topology.adj in
+  for i = 0 to fr.Frontier.n_active - 1 do
+    let v = active.(i) in
+    let s' = scratch.(v) in
+    if not (equal s' cur.(v)) then begin
+      incr changed;
+      cur.(v) <- s';
+      on_change v;
+      match core.sched with
+      | Full_scan -> ()
+      | Active_set ->
+        Frontier.mark fr v;
         for j = off.(v) to off.(v + 1) - 1 do
-          let u = adj.(j) in
-          if not dirty.(u) then begin
-            dirty.(u) <- true;
-            next.(!k) <- u;
-            incr k
-          end
+          Frontier.mark fr adj.(j)
         done
-      end
-    done;
-    (* The collect loop above emits the frontier in a jumbled order; for a
-       dense next set that order wrecks cache locality in the following
-       compute phase, so rebuild it ascending from the dirty bitmap (the
-       O(n) scan is negligible when the set is a constant fraction of n).
-       Sparse frontiers keep the unordered list — a full scan per round
-       would erase the active-set savings. Node order never affects the
-       computed states, only memory-access locality. *)
-    if !k * 8 >= core.topo.Topology.n_present then begin
-      let idx = ref 0 in
-      for v = 0 to Array.length dirty - 1 do
-        if dirty.(v) then begin
-          dirty.(v) <- false;
-          next.(!idx) <- v;
-          incr idx
-        end
-      done
     end
-    else
-      for i = 0 to !k - 1 do
-        dirty.(next.(i)) <- false
-      done;
-    let old = core.active in
-    core.active <- next;
-    core.spare <- old;
-    core.n_active <- !k);
+  done;
+  (match core.sched with
+  | Full_scan -> ()
+  | Active_set -> Frontier.advance fr);
   !changed
 
-let engine_run ~par ~sched ~equal ~tr ~topo ~init ~step ~halted ~max_rounds =
+(* The Seq/Par backend for the driver: one round is compute + commit;
+   [halted] (present under [Until_halted] only) is tracked incrementally
+   from the commit's change callback. *)
+let core_run ~par ~sched ~equal ~halted ~tr ~topo ~init ~step term =
   let core = make_core ~topo ~sched ~equal ~init in
-  let halted_f = Array.make (Topology.n_base topo) true in
-  let n_unhalted = ref 0 in
-  Array.iter
-    (fun v ->
-      let h = halted core.cur.(v) in
-      halted_f.(v) <- h;
-      if not h then incr n_unhalted)
-    topo.Topology.present_nodes;
-  let rounds = ref 0 in
-  let stalled = ref false in
-  let interrupted = ref false in
-  while
-    !n_unhalted > 0 && !rounds < max_rounds && (not !stalled)
-    && not !interrupted
-  do
-    if core.n_active = 0 then
-      (* No node can ever change again (stationarity), so no node can
-         ever halt: the naive stepper would spin to max_rounds and raise;
-         we raise the same failure without the spin. *)
-      stalled := true
-    else begin
-      let t0 = now () in
-      let active_now = core.n_active in
-      incr rounds;
-      compute core step !rounds par;
-      let changed =
-        commit core ~on_change:(fun v ->
-            let h = halted core.cur.(v) in
-            if h <> halted_f.(v) then begin
-              halted_f.(v) <- h;
-              if h then decr n_unhalted else incr n_unhalted
-            end)
-      in
-      record tr ~round:!rounds ~active:active_now ~changed
-        ~unhalted:!n_unhalted ~t0;
-      if not (gate_open ~round:!rounds) then interrupted := true
-    end
-  done;
-  if (not !interrupted) && !n_unhalted > 0 then
-    failwith (Printf.sprintf "Engine.run: max_rounds=%d exceeded" max_rounds);
-  { states = core.cur; rounds = !rounds }
-
-let engine_run_until_stable ~par ~sched ~equal ~tr ~topo ~init ~step
-    ~max_rounds =
-  let core = make_core ~topo ~sched ~equal ~init in
-  let rounds = ref 0 in
-  let stable = ref false in
-  let interrupted = ref false in
-  while (not !interrupted) && (not !stable) && !rounds < max_rounds do
-    if core.n_active = 0 then stable := true
-    else begin
-      let t0 = now () in
-      let active_now = core.n_active in
-      compute core step (!rounds + 1) par;
-      let changed = commit core ~on_change:ignore in
-      record tr ~round:(!rounds + 1) ~active:active_now ~changed
-        ~unhalted:(-1) ~t0;
-      if changed > 0 then begin
-        incr rounds;
-        if not (gate_open ~round:!rounds) then interrupted := true
-      end
-      else stable := true
-    end
-  done;
-  if (not !interrupted) && not !stable then
-    failwith
-      (Printf.sprintf "Engine.run_until_stable: max_rounds=%d exceeded"
-         max_rounds);
-  { states = core.cur; rounds = !rounds }
-
-let engine_run_rounds ~par ~sched ~equal ~tr ~topo ~init ~step ~rounds:total =
-  let core = make_core ~topo ~sched ~equal ~init in
-  let executed = ref 0 in
-  let r = ref 1 in
-  let interrupted = ref false in
-  while (not !interrupted) && !r <= total do
-    (* an empty active set means the remaining scheduled rounds are
-       no-ops (stationarity); skip the work but keep the round count *)
-    if core.n_active > 0 then begin
-      let t0 = now () in
-      let active_now = core.n_active in
-      compute core step !r par;
-      let changed = commit core ~on_change:ignore in
-      record tr ~round:!r ~active:active_now ~changed ~unhalted:(-1) ~t0;
-      executed := !r;
-      if not (gate_open ~round:!r) then interrupted := true
-    end;
-    incr r
-  done;
-  { states = core.cur; rounds = (if !interrupted then !executed else total) }
+  let st = Driver.stats ~active:core.fr.Frontier.n_active ~unhalted:0 in
+  let on_change =
+    match halted with
+    | None -> ignore
+    | Some halted ->
+      let halted_f = Array.make (Topology.n_base topo) true in
+      Array.iter
+        (fun v ->
+          let h = halted core.cur.(v) in
+          halted_f.(v) <- h;
+          if not h then st.unhalted <- st.unhalted + 1)
+        topo.Topology.present_nodes;
+      fun v ->
+        let h = halted core.cur.(v) in
+        if h <> halted_f.(v) then begin
+          halted_f.(v) <- h;
+          st.unhalted <- (st.unhalted + if h then -1 else 1)
+        end
+  in
+  let rounds =
+    Driver.loop tr term st (fun r st ->
+        compute core step r par;
+        st.changed <- commit core ~on_change;
+        st.active <- core.fr.Frontier.n_active)
+  in
+  { states = core.cur; rounds }
 
 (* ---------- public API ---------- *)
 
-let par_of = function
-  | Naive | Seq | Shard _ | Proc _ -> 1
-  | Par p -> max 1 p
+let dispatch ?mode ~sched ~equal ?trace ~label ~compile_s ~compile_cached
+    ~topo ~init ~step ~halted term =
+  let mode = match mode with Some m -> m | None -> !default_mode in
+  Driver.traced ?trace ~label ~mode:(mode_to_string mode)
+    ~scheduling:(sched_to_string sched) ~compile_s ~compile_cached topo
+    (fun tr ->
+      match (mode, term) with
+      | Naive, Driver.Until_halted max_rounds ->
+        naive_run ~tr ~topo ~init ~step ~halted:(Option.get halted)
+          ~max_rounds
+      | Naive, Driver.Until_stable max_rounds ->
+        naive_run_until_stable ~tr ~topo ~init ~step ~equal ~max_rounds
+      | Naive, Driver.Fixed rounds ->
+        naive_run_rounds ~tr ~topo ~init ~step ~rounds
+      | Shard count, _ ->
+        (get_backend "shard" shard_backend).run ~count ~sched ~equal ~halted
+          ~trace:tr ~topo ~init ~step term
+      | Proc count, _ ->
+        (get_backend "proc" proc_backend).run ~count ~sched ~equal ~halted
+          ~trace:tr ~topo ~init ~step term
+      | Seq, _ ->
+        core_run ~par:1 ~sched ~equal ~halted ~tr ~topo ~init ~step term
+      | Par p, _ ->
+        core_run ~par:(max 1 p) ~sched ~equal ~halted ~tr ~topo ~init ~step
+          term)
 
 let run ?mode ?(sched = Active_set) ?(equal = Stdlib.( = )) ?trace
     ?(label = "engine.run") ?(compile_s = 0.) ?(compile_cached = false) ~topo
     ~init ~step ~halted ~max_rounds () =
-  let mode = match mode with Some m -> m | None -> !default_mode in
-  let tr = begin_trace ?trace ~label ~mode ~sched ~compile_s ~compile_cached topo in
-  with_trace tr (fun () ->
-      match mode with
-      | Naive -> naive_run ~tr ~topo ~init ~step ~halted ~max_rounds
-      | Shard s ->
-        (get_shard_backend ()).sb_run ~shards:s ~sched ~equal ~trace:tr ~topo
-          ~init ~step ~halted ~max_rounds
-      | Proc p ->
-        (get_proc_backend ()).pb_run ~procs:p ~sched ~equal ~trace:tr ~topo
-          ~init ~step ~halted ~max_rounds
-      | Seq | Par _ ->
-        engine_run ~par:(par_of mode) ~sched ~equal ~tr ~topo ~init ~step
-          ~halted ~max_rounds)
+  dispatch ?mode ~sched ~equal ?trace ~label ~compile_s ~compile_cached ~topo
+    ~init ~step ~halted:(Some halted) (Driver.Until_halted max_rounds)
 
 let run_until_stable ?mode ?(sched = Active_set) ?trace
     ?(label = "engine.run_until_stable") ?(compile_s = 0.)
     ?(compile_cached = false) ~topo ~init ~step ~equal ~max_rounds () =
-  let mode = match mode with Some m -> m | None -> !default_mode in
-  let tr = begin_trace ?trace ~label ~mode ~sched ~compile_s ~compile_cached topo in
-  with_trace tr (fun () ->
-      match mode with
-      | Naive -> naive_run_until_stable ~tr ~topo ~init ~step ~equal ~max_rounds
-      | Shard s ->
-        (get_shard_backend ()).sb_run_until_stable ~shards:s ~sched ~equal
-          ~trace:tr ~topo ~init ~step ~max_rounds
-      | Proc p ->
-        (get_proc_backend ()).pb_run_until_stable ~procs:p ~sched ~equal
-          ~trace:tr ~topo ~init ~step ~max_rounds
-      | Seq | Par _ ->
-        engine_run_until_stable ~par:(par_of mode) ~sched ~equal ~tr ~topo
-          ~init ~step ~max_rounds)
+  dispatch ?mode ~sched ~equal ?trace ~label ~compile_s ~compile_cached ~topo
+    ~init ~step ~halted:None (Driver.Until_stable max_rounds)
 
 let run_rounds ?mode ?(sched = Active_set) ?(equal = Stdlib.( = )) ?trace
     ?(label = "engine.run_rounds") ?(compile_s = 0.) ?(compile_cached = false)
     ~topo ~init ~step ~rounds () =
-  let mode = match mode with Some m -> m | None -> !default_mode in
-  let tr = begin_trace ?trace ~label ~mode ~sched ~compile_s ~compile_cached topo in
-  with_trace tr (fun () ->
-      match mode with
-      | Naive -> naive_run_rounds ~tr ~topo ~init ~step ~rounds
-      | Shard s ->
-        (get_shard_backend ()).sb_run_rounds ~shards:s ~sched ~equal ~trace:tr
-          ~topo ~init ~step ~rounds
-      | Proc p ->
-        (get_proc_backend ()).pb_run_rounds ~procs:p ~sched ~equal ~trace:tr
-          ~topo ~init ~step ~rounds
-      | Seq | Par _ ->
-        engine_run_rounds ~par:(par_of mode) ~sched ~equal ~tr ~topo ~init
-          ~step ~rounds)
+  dispatch ?mode ~sched ~equal ?trace ~label ~compile_s ~compile_cached ~topo
+    ~init ~step ~halted:None (Driver.Fixed rounds)

@@ -52,11 +52,19 @@
     with an unchanged closed neighborhood is not re-stepped; stationarity
     is exactly the condition making that skip unobservable.
 
-    All modes raise [Failure] when [max_rounds] is exhausted, like the
-    legacy runtime; the active-set stepper additionally fails fast when
-    the active set drains while unhalted nodes remain (a stationary
-    machine can then never halt — the naive stepper would spin to
-    [max_rounds] and raise the same way). *)
+    {2 One round driver}
+
+    Every mode but [Naive] runs on {!Driver.loop}: the backend supplies
+    its initial totals and one [round] function, and the driver supplies
+    termination, the {!fault_gate}, the trace lifecycle and the
+    failures. All modes raise [Failure] when [max_rounds] is exhausted,
+    like the legacy runtime; the driver additionally fails fast when the
+    active set drains while unhalted nodes remain (a stationary machine
+    can then never halt — the naive stepper would spin to [max_rounds]
+    and raise the same way). [Naive] keeps its own loops as the
+    independent reference the differential tests compare against.
+    Traces go to the caller's [?trace] and to every
+    {!Driver.subscribe}r, also when the run raises. *)
 
 type mode = Naive | Seq | Par of int | Shard of int | Proc of int
 
@@ -100,40 +108,24 @@ val default_procs : int ref
 (** Worker-process count used when a mode string says just ["proc"].
     Defaults to [4]. *)
 
-val trace_sink : (Trace.t -> unit) option ref
-(** When set, every engine run reports its trace here (creating an
-    internal trace if the caller did not supply one) — the hook behind
-    the CLI's [--trace]. Traces are delivered even when the run raises. *)
-
-val metrics_sink : (Trace.t -> unit) option ref
-(** Second per-run delivery hook with the same contract as
-    {!trace_sink} (internal trace creation, delivery on raise), invoked
-    after it. Owned by [Tl_obs.Metrics.enable], which sits above this
-    library in the DAG and feeds the [engine_*] registry metrics from
-    each finished trace. Independent of [trace_sink]: either, both or
-    neither may be set. *)
-
 val fault_gate : (round:int -> bool) option ref
 (** Fault-injection round gate, owned by [Tl_fault.Injector] (above this
-    library in the DAG, like the sinks). When set, every in-process
-    stepper consults it once per {e committed} round — [g ~round:r]
-    fires after round [r]'s states are published. Returning [false]
-    interrupts the run at that round boundary: the stepper returns the
-    states exactly as committed, [rounds] counts only the executed
-    rounds, and the usual [max_rounds] [Failure] is suppressed (an
-    interrupted run is not a diverged run). The caller that armed the
-    gate is expected to know it fired (the injector records the trip)
-    and resume with a fresh run over the repaired topology. Disarmed
-    ([None], the default) the gate costs one ref read per round and
-    nothing per node — the same discipline as [Tl_obs.Metrics.enable].
-    The shard backend checks the gate in its own drivers; the proc
-    backend checks it between coordinator rounds. *)
+    library in the DAG). The same ref as {!Driver.fault_gate}: the round
+    driver consults it once per {e committed} round of every backend
+    that runs on it — [Seq], [Par], [Shard], [Proc] and {!Flat} — and
+    the [Naive] reference consults it too. [g ~round:r] fires after
+    round [r]'s states are published. Returning [false] interrupts the
+    run at that round boundary: the run returns the states exactly as
+    committed, [rounds] counts only the executed rounds, and the usual
+    [max_rounds] [Failure] is suppressed (an interrupted run is not a
+    diverged run). The caller that armed the gate is expected to know it
+    fired (the injector records the trip) and resume with a fresh run
+    over the repaired topology. Disarmed ([None], the default) the gate
+    costs one ref read per round and nothing per node. *)
 
 val gate_open : round:int -> bool
-(** [true] when no gate is armed or the armed gate allows continuing
-    past committed round [round]. Exported for the out-of-library
-    backends (shard, proc), whose drivers must consult the same gate as
-    the in-process steppers. *)
+(** {!Driver.gate_open}: [true] when no gate is armed or the armed gate
+    allows continuing past committed round [round]. *)
 
 type 'state outcome = { states : 'state array; rounds : int }
 
@@ -147,102 +139,39 @@ type 'state step_fn =
     [(neighbor, edge, neighbor_state)] over present rank-2 edges in
     ascending incident order. *)
 
-(** {2 Shard backend hook}
+(** {2 Backend hook}
 
-    The [Shard] mode is implemented outside this library (in [tl_shard],
-    which depends on [tl_engine]); it plugs in through this record of
-    rank-2-polymorphic entry points. The engine keeps ownership of trace
-    creation and delivery: the backend receives the already-created
-    [trace] (if any) and records its rounds into it. [Tl_shard.Shard]
-    installs itself here at module initialization, and
-    {!Tl_local.Runtime} references it explicitly so every binary built
-    on the runtime links the backend. *)
+    The [Shard] and [Proc] modes are implemented outside this library
+    (in [tl_shard] and [tl_proc], which depend on [tl_engine]); each
+    plugs in through one rank-2-polymorphic entry point. [count] is the
+    shard or process count, [halted] is present exactly under
+    [Until_halted], and the engine has already opened the run's trace
+    ([trace]) — the backend only builds its state, hands a [round]
+    function to {!Driver.loop} with that trace, and returns the states.
+    [Tl_shard.Shard] and [Tl_proc.Coordinator] install themselves at
+    module initialization, and {!Tl_local.Runtime} references both
+    explicitly so every binary built on the runtime links them. *)
 
-type shard_backend = {
-  sb_run :
+type backend = {
+  run :
     'state.
-    shards:int ->
+    count:int ->
     sched:scheduling ->
     equal:('state -> 'state -> bool) ->
+    halted:('state -> bool) option ->
     trace:Trace.t option ->
     topo:Topology.t ->
     init:(int -> 'state) ->
     step:'state step_fn ->
-    halted:('state -> bool) ->
-    max_rounds:int ->
-    'state outcome;
-  sb_run_until_stable :
-    'state.
-    shards:int ->
-    sched:scheduling ->
-    equal:('state -> 'state -> bool) ->
-    trace:Trace.t option ->
-    topo:Topology.t ->
-    init:(int -> 'state) ->
-    step:'state step_fn ->
-    max_rounds:int ->
-    'state outcome;
-  sb_run_rounds :
-    'state.
-    shards:int ->
-    sched:scheduling ->
-    equal:('state -> 'state -> bool) ->
-    trace:Trace.t option ->
-    topo:Topology.t ->
-    init:(int -> 'state) ->
-    step:'state step_fn ->
-    rounds:int ->
+    Driver.termination ->
     'state outcome;
 }
 
-val shard_backend : shard_backend option ref
+val shard_backend : backend option ref
 (** Set by [Tl_shard.Shard] at load time. [Shard]-mode runs raise
     [Failure] while this is [None]. *)
 
-(** {2 Proc backend hook}
-
-    Same plug-in shape as {!shard_backend}, for the process-parallel
-    backend in [tl_proc]. Field names are prefixed [pb_] and the count
-    argument is [procs] (one worker process per shard). *)
-
-type proc_backend = {
-  pb_run :
-    'state.
-    procs:int ->
-    sched:scheduling ->
-    equal:('state -> 'state -> bool) ->
-    trace:Trace.t option ->
-    topo:Topology.t ->
-    init:(int -> 'state) ->
-    step:'state step_fn ->
-    halted:('state -> bool) ->
-    max_rounds:int ->
-    'state outcome;
-  pb_run_until_stable :
-    'state.
-    procs:int ->
-    sched:scheduling ->
-    equal:('state -> 'state -> bool) ->
-    trace:Trace.t option ->
-    topo:Topology.t ->
-    init:(int -> 'state) ->
-    step:'state step_fn ->
-    max_rounds:int ->
-    'state outcome;
-  pb_run_rounds :
-    'state.
-    procs:int ->
-    sched:scheduling ->
-    equal:('state -> 'state -> bool) ->
-    trace:Trace.t option ->
-    topo:Topology.t ->
-    init:(int -> 'state) ->
-    step:'state step_fn ->
-    rounds:int ->
-    'state outcome;
-}
-
-val proc_backend : proc_backend option ref
+val proc_backend : backend option ref
 (** Set by [Tl_proc.Coordinator] at load time. [Proc]-mode runs raise
     [Failure] while this is [None]. *)
 

@@ -1,8 +1,9 @@
 (* Flat execution path: the engine's Seq/Par stepper specialized to
-   int-slab states. Structure (double buffer, active set, dirty flags,
-   dense-rebuild heuristic, chunked parallel compute, sequential commit)
-   mirrors engine.ml line for line — keep the two in sync; the
-   differential battery in test/test_engine.ml holds them together.
+   int-slab states. The round structure (double buffer, active set,
+   dirty flags, dense-rebuild heuristic, chunked parallel compute,
+   sequential commit) follows engine.ml; termination, the fault gate,
+   tracing and failures come from the round driver. The differential
+   battery in test/test_engine.ml holds the two layouts together.
 
    Allocation discipline for the hot path (the whole point of this
    module): no closures in the round loop (helpers that scan CSR rows
@@ -10,13 +11,12 @@
    with free variables allocates a closure per call), no [ref] cells
    per round (loop-carried counters live in mutable [core] fields), no
    [Option.iter f] on the trace option (the closure is allocated even
-   for [None]; we [match] instead), and no wall-clock reads unless a
-   trace is attached ([Unix.gettimeofday] boxes a float — the stamp is
-   parked in a preallocated float array, where stores are unboxed).
+   for [None]; we [match] instead). The driver loop adds nothing per
+   round: it reads the clock only when a trace is attached.
 
    Bounds discipline: the step/commit loops use [Array.unsafe_get]/
    [unsafe_set]. Every index is covered by a compiled-topology
-   invariant — active/spare hold present nodes [< n_base], CSR rows
+   invariant — frontier sets hold present nodes [< n_base], CSR rows
    [off.(v) .. off.(v+1)) index [adj], and [adj] entries are present
    nodes — so the checks the safe accessors would re-run per word are
    provably dead. Slab indices are [node * slots + slot] with
@@ -50,8 +50,6 @@ let column o ~slot =
   Array.init (Array.length o.slab / o.slots) (fun v ->
       o.slab.((v * o.slots) + slot))
 
-let now = Unix.gettimeofday
-
 (* ---------- core ---------- *)
 
 type core = {
@@ -61,15 +59,10 @@ type core = {
   scratch : int array array;  (* one slab per worker *)
   par : int;
   sched : Engine.scheduling;
-  mutable active : int array;
-  mutable n_active : int;
-  mutable spare : int array;
-  dirty : bool array;
+  fr : Frontier.t;
   halted_f : bool array;
   mutable n_unhalted : int;
   mutable n_changed : int;  (* commit result (no per-round ref cells) *)
-  mutable fk : int;  (* frontier build cursor *)
-  mutable fi : int;  (* dense-rebuild cursor *)
 }
 
 let make_core ~topo ~sched ~par ~use_halted (k : kernel) =
@@ -105,15 +98,13 @@ let make_core ~topo ~sched ~par ~use_halted (k : kernel) =
       scratch = Array.init p (fun _ -> Array.make (max 1 k.scratch_words) 0);
       par = p;
       sched;
-      active = Array.sub topo.Topology.present_nodes 0 np;
-      n_active = np;
-      spare = Array.make (max 1 np) 0;
-      dirty = Array.make n false;
+      fr =
+        Frontier.create
+          ~active:(Array.sub topo.Topology.present_nodes 0 np)
+          ~universe:n ~dense:np;
       halted_f = Array.make n true;
       n_unhalted = 0;
       n_changed = 0;
-      fk = 0;
-      fi = 0;
     }
   in
   (match core.halt with
@@ -128,7 +119,8 @@ let make_core ~topo ~sched ~par ~use_halted (k : kernel) =
   core
 
 let compute_range core round w lo hi =
-  let active = core.active and step = core.step and ctx = core.ctx in
+  let active = core.fr.Frontier.active in
+  let step = core.step and ctx = core.ctx in
   let scratch = core.scratch.(w) in
   for i = lo to hi - 1 do
     step ctx ~scratch ~round ~node:(Array.unsafe_get active i)
@@ -139,7 +131,7 @@ let compute_range core round w lo hi =
    persistent team. Never changes which state a node computes, only
    which domain. *)
 let compute core round =
-  let count = core.n_active in
+  let count = core.fr.Frontier.n_active in
   let p = max 1 (min core.par count) in
   if p = 1 || count <= !Engine.par_grain * p then
     compute_range core round 0 0 count
@@ -167,224 +159,78 @@ let on_change core v =
       core.n_unhalted <- (core.n_unhalted + if hv then -1 else 1)
     end
 
-(* Commit phase: identical discipline to Engine.commit (sequential,
-   publish changed slots, rebuild the frontier under Active_set with the
-   same dense-rebuild heuristic) so flat and boxed runs agree round for
-   round on active/changed counts, not just on final states. *)
+(* Commit phase: the discipline of Engine.commit (sequential, publish
+   changed slots, mark the next frontier under Active_set) so flat and
+   boxed runs agree round for round on active/changed counts, not just
+   on final states. *)
 let commit core =
   let ctx = core.ctx in
   let cur = ctx.cur and nxt = ctx.nxt and slots = ctx.slots in
-  let active = core.active in
+  let off = ctx.off and adj = ctx.adj in
+  let fr = core.fr in
+  let active = fr.Frontier.active in
   core.n_changed <- 0;
-  match core.sched with
-  | Engine.Full_scan ->
-    for i = 0 to core.n_active - 1 do
-      let v = Array.unsafe_get active i in
-      let base = v * slots in
-      if words_differ cur nxt base 0 slots then begin
-        core.n_changed <- core.n_changed + 1;
-        Array.blit nxt base cur base slots;
-        on_change core v
-      end
-    done
-  | Engine.Active_set ->
-    let next = core.spare in
-    let dirty = core.dirty in
-    let off = ctx.off and adj = ctx.adj in
-    core.fk <- 0;
-    for i = 0 to core.n_active - 1 do
-      let v = Array.unsafe_get active i in
-      let base = v * slots in
-      if words_differ cur nxt base 0 slots then begin
-        core.n_changed <- core.n_changed + 1;
-        Array.blit nxt base cur base slots;
-        on_change core v;
-        if not (Array.unsafe_get dirty v) then begin
-          Array.unsafe_set dirty v true;
-          Array.unsafe_set next core.fk v;
-          core.fk <- core.fk + 1
-        end;
+  for i = 0 to fr.Frontier.n_active - 1 do
+    let v = Array.unsafe_get active i in
+    let base = v * slots in
+    if words_differ cur nxt base 0 slots then begin
+      core.n_changed <- core.n_changed + 1;
+      Array.blit nxt base cur base slots;
+      on_change core v;
+      match core.sched with
+      | Engine.Full_scan -> ()
+      | Engine.Active_set ->
+        Frontier.mark fr v;
         for j = Array.unsafe_get off v to Array.unsafe_get off (v + 1) - 1 do
-          let u = Array.unsafe_get adj j in
-          if not (Array.unsafe_get dirty u) then begin
-            Array.unsafe_set dirty u true;
-            Array.unsafe_set next core.fk u;
-            core.fk <- core.fk + 1
-          end
+          Frontier.mark fr (Array.unsafe_get adj j)
         done
-      end
-    done;
-    (* dense next set: rebuild ascending from the dirty bitmap for cache
-       locality (same threshold as the boxed engine) *)
-    if core.fk * 8 >= ctx.n_present then begin
-      core.fi <- 0;
-      for v = 0 to Array.length dirty - 1 do
-        if dirty.(v) then begin
-          dirty.(v) <- false;
-          next.(core.fi) <- v;
-          core.fi <- core.fi + 1
-        end
-      done
     end
-    else
-      for i = 0 to core.fk - 1 do
-        dirty.(next.(i)) <- false
-      done;
-    let old = core.active in
-    core.active <- next;
-    core.spare <- old;
-    core.n_active <- core.fk
-
-(* ---------- trace plumbing (flat flavour of Engine.begin_trace) ---------- *)
-
-let mode_string par =
-  if par <= 1 then "flat:seq" else "flat:par:" ^ string_of_int par
-
-let begin_trace ?trace ~label ~par ~sched topo =
-  let t =
-    match trace with
-    | Some t -> Some t
-    | None ->
-      if !Engine.trace_sink <> None || !Engine.metrics_sink <> None then
-        Some (Trace.create ~label ())
-      else None
-  in
-  (match t with
-  | None -> ()
-  | Some t ->
-    Trace.set_meta t ~mode:(mode_string par)
-      ~scheduling:(Engine.sched_to_string sched)
-      ~n_base:(Topology.n_base topo)
-      ~n_present:(Topology.n_present topo);
-    Trace.set_layout t "flat");
-  t
-
-let with_trace tr f =
-  let t0 = now () in
-  Fun.protect
-    ~finally:(fun () ->
-      match tr with
-      | None -> ()
-      | Some t ->
-        Trace.finish t ~total_s:(now () -. t0);
-        (match !Engine.trace_sink with Some sink -> sink t | None -> ());
-        (match !Engine.metrics_sink with Some sink -> sink t | None -> ()))
-    f
+  done;
+  match core.sched with
+  | Engine.Full_scan -> ()
+  | Engine.Active_set -> Frontier.advance fr
 
 (* ---------- entry points ---------- *)
 
-(* Failure messages are byte-identical to engine.ml on purpose: failure
-   parity is part of the flat-vs-boxed differential contract. *)
+let round core r (st : Driver.stats) =
+  compute core r;
+  commit core;
+  st.active <- core.fr.Frontier.n_active;
+  st.changed <- core.n_changed;
+  st.unhalted <- core.n_unhalted
 
-let run_halted core tr max_rounds =
-  let rounds = ref 0 in
-  let stalled = ref false in
-  let tw = [| 0. |] in
-  while core.n_unhalted > 0 && !rounds < max_rounds && not !stalled do
-    if core.n_active = 0 then stalled := true
-    else begin
-      (match tr with None -> () | Some _ -> tw.(0) <- now ());
-      let active_now = core.n_active in
-      incr rounds;
-      compute core !rounds;
-      commit core;
-      match tr with
-      | None -> ()
-      | Some t ->
-        Trace.record t
-          {
-            Trace.round = !rounds;
-            active = active_now;
-            changed = core.n_changed;
-            unhalted = core.n_unhalted;
-            wall_s = now () -. tw.(0);
-          }
-    end
-  done;
-  if core.n_unhalted > 0 then
-    failwith (Printf.sprintf "Engine.run: max_rounds=%d exceeded" max_rounds);
-  { slab = core.ctx.cur; slots = core.ctx.slots; rounds = !rounds }
-
-let run_stable core tr max_rounds =
-  let rounds = ref 0 in
-  let stable = ref false in
-  let tw = [| 0. |] in
-  while (not !stable) && !rounds < max_rounds do
-    if core.n_active = 0 then stable := true
-    else begin
-      (match tr with None -> () | Some _ -> tw.(0) <- now ());
-      let active_now = core.n_active in
-      compute core (!rounds + 1);
-      commit core;
-      (match tr with
-      | None -> ()
-      | Some t ->
-        Trace.record t
-          {
-            Trace.round = !rounds + 1;
-            active = active_now;
-            changed = core.n_changed;
-            unhalted = -1;
-            wall_s = now () -. tw.(0);
-          });
-      if core.n_changed > 0 then incr rounds else stable := true
-    end
-  done;
-  if not !stable then
-    failwith
-      (Printf.sprintf "Engine.run_until_stable: max_rounds=%d exceeded"
-         max_rounds);
-  { slab = core.ctx.cur; slots = core.ctx.slots; rounds = !rounds }
-
-let run_fixed core tr total =
-  let tw = [| 0. |] in
-  for r = 1 to total do
-    if core.n_active > 0 then begin
-      (match tr with None -> () | Some _ -> tw.(0) <- now ());
-      let active_now = core.n_active in
-      compute core r;
-      commit core;
-      match tr with
-      | None -> ()
-      | Some t ->
-        Trace.record t
-          {
-            Trace.round = r;
-            active = active_now;
-            changed = core.n_changed;
-            unhalted = -1;
-            wall_s = now () -. tw.(0);
-          }
-    end
-  done;
-  { slab = core.ctx.cur; slots = core.ctx.slots; rounds = total }
+let drive ~use_halted ~par ~sched ?trace ?label ~topo ~kernel term =
+  let label = match label with Some l -> l | None -> "flat." ^ kernel.name in
+  let mode = if par <= 1 then "flat:seq" else "flat:par:" ^ string_of_int par in
+  Driver.traced ?trace ~label ~mode
+    ~scheduling:(Engine.sched_to_string sched)
+    ~layout:"flat" topo
+    (fun tr ->
+      let core = make_core ~topo ~sched ~par ~use_halted kernel in
+      let st =
+        Driver.stats ~active:core.fr.Frontier.n_active
+          ~unhalted:core.n_unhalted
+      in
+      let rounds = Driver.loop tr term st (round core) in
+      { slab = core.ctx.cur; slots = core.ctx.slots; rounds })
 
 let run ?(par = 1) ?(sched = Engine.Active_set) ?trace ?label ~topo ~kernel
     ~max_rounds () =
   if kernel.halted = None then
     invalid_arg
       (Printf.sprintf "Flat.run: kernel %S has no halted predicate" kernel.name);
-  let label = match label with Some l -> l | None -> "flat." ^ kernel.name in
-  let tr = begin_trace ?trace ~label ~par ~sched topo in
-  with_trace tr (fun () ->
-      let core = make_core ~topo ~sched ~par ~use_halted:true kernel in
-      run_halted core tr max_rounds)
+  drive ~use_halted:true ~par ~sched ?trace ?label ~topo ~kernel
+    (Driver.Until_halted max_rounds)
 
 let run_until_stable ?(par = 1) ?(sched = Engine.Active_set) ?trace ?label
     ~topo ~kernel ~max_rounds () =
-  let label = match label with Some l -> l | None -> "flat." ^ kernel.name in
-  let tr = begin_trace ?trace ~label ~par ~sched topo in
-  with_trace tr (fun () ->
-      let core = make_core ~topo ~sched ~par ~use_halted:false kernel in
-      run_stable core tr max_rounds)
+  drive ~use_halted:false ~par ~sched ?trace ?label ~topo ~kernel
+    (Driver.Until_stable max_rounds)
 
 let run_rounds ?(par = 1) ?(sched = Engine.Active_set) ?trace ?label ~topo
     ~kernel ~rounds () =
-  let label = match label with Some l -> l | None -> "flat." ^ kernel.name in
-  let tr = begin_trace ?trace ~label ~par ~sched topo in
-  with_trace tr (fun () ->
-      let core = make_core ~topo ~sched ~par ~use_halted:false kernel in
-      run_fixed core tr rounds)
+  drive ~use_halted:false ~par ~sched ?trace ?label ~topo ~kernel
+    (Driver.Fixed rounds)
 
 (* ---------- ported kernels ---------- *)
 

@@ -22,16 +22,17 @@
     {2 Determinism and parity}
 
     Scheduling, change detection (word comparison over a node's slots),
-    frontier maintenance and the parallel chunking are structurally
-    identical to {!Engine}'s [Seq]/[Par] stepper, so a flat run produces
-    the same states, the same round count, and the same per-round
-    [active]/[changed]/[unhalted] trace records as the boxed engine
-    running an equivalent kernel — for any [par] and any
-    {!Engine.par_grain}. On [max_rounds] exhaustion (or an active-set
-    stall) the raised [Failure] messages are {e byte-identical} to the
-    engine's ("Engine.run: ..."), deliberately: failure parity is part
-    of the differential contract. Parallel rounds fan out over the
-    persistent domain {!Team} in fixed contiguous chunks. *)
+    frontier maintenance and the parallel chunking follow {!Engine}'s
+    [Seq]/[Par] stepper, and this module supplies only the per-round
+    step and commit: termination, the {!Engine.fault_gate}, trace
+    records and failures come from the shared round driver
+    ({!Driver.loop}). So a flat run produces the same states, the same
+    round count, the same per-round [active]/[changed]/[unhalted] trace
+    records and the same interruption under an armed fault gate as the
+    boxed engine running an equivalent kernel — for any [par] and any
+    {!Engine.par_grain} — and the same [Failure] messages
+    ("Engine.run: ..."). Parallel rounds fan out over the persistent
+    domain {!Team} in fixed contiguous chunks. *)
 
 type ctx = {
   n_base : int;
@@ -98,8 +99,8 @@ val run :
     than {!Engine.par_grain} active nodes per chunk out to the domain
     team. Traces
     are stamped [mode = "flat:seq" | "flat:par:N"], [layout = "flat"]
-    and delivered to {!Engine.trace_sink} / {!Engine.metrics_sink}
-    exactly like boxed runs. *)
+    and delivered to the {!Driver.subscribe}rs exactly like boxed
+    runs. *)
 
 val run_until_stable :
   ?par:int ->

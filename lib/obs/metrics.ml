@@ -1,4 +1,4 @@
-module Engine = Tl_engine.Engine
+module Driver = Tl_engine.Driver
 module Pool = Tl_engine.Pool
 module Trace = Tl_engine.Trace
 
@@ -466,21 +466,23 @@ let enabled () = Atomic.get on
 (* Engine-side metrics, fed per run from the finished trace: no per-step
    instrumentation in the engine at all, so the metrics-on hot path is
    the metrics-off hot path plus one sink call per run. *)
+let engine_subscription = ref None
+
 let install_engine_hooks () =
   let runs = counter "engine_runs_total" in
   let rounds = counter "engine_rounds_total" in
   let steps = counter "engine_steps_total" in
   let active_peak = gauge "engine_active_peak" in
   let run_seconds = histogram "engine_run_seconds" in
-  Engine.metrics_sink :=
+  engine_subscription :=
     Some
-      (fun tr ->
-        let m = Trace.metrics tr in
-        incr runs 1;
-        incr rounds m.Trace.rounds;
-        incr steps m.Trace.steps;
-        gauge_max active_peak m.Trace.max_active;
-        observe run_seconds m.Trace.total_s);
+      (Driver.subscribe (fun tr ->
+           let m = Trace.metrics tr in
+           incr runs 1;
+           incr rounds m.Trace.rounds;
+           incr steps m.Trace.steps;
+           gauge_max active_peak m.Trace.max_active;
+           observe run_seconds m.Trace.total_s));
   let maps = counter "pool_maps_total" in
   let tasks = counter "pool_tasks_total" in
   let width = gauge "pool_workers" in
@@ -503,7 +505,8 @@ let enable () =
   end
 
 let disable () =
-  Engine.metrics_sink := None;
+  Option.iter Driver.unsubscribe !engine_subscription;
+  engine_subscription := None;
   Pool.tap := None;
   Tl_engine.Team.tap := None;
   Atomic.set on false

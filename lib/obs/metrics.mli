@@ -44,9 +44,9 @@
 
     [tl_obs] sits {e above} [tl_engine] in the library DAG, so the
     engine cannot call this module directly. {!enable} installs the
-    hooks the engine exposes for exactly this purpose
-    ({!Tl_engine.Engine.metrics_sink}, {!Tl_engine.Pool.tap},
-    {!Tl_engine.Team.tap}) and flips
+    hooks the engine exposes for exactly this purpose (a
+    {!Tl_engine.Driver.subscribe} trace subscription,
+    {!Tl_engine.Pool.tap}, {!Tl_engine.Team.tap}) and flips
     the global {!enabled} flag that guards the shard backend's direct
     instrumentation. Nothing is instrumented until some layer (the
     serving daemon, a bench) opts in — a one-shot CLI run pays zero. *)
@@ -152,18 +152,21 @@ val enabled : unit -> bool
     do extra work (wall-clocking shard exchanges, recording events). *)
 
 val enable : unit -> unit
-(** Flip {!enabled} on and install the engine-side hooks:
-    {!Tl_engine.Engine.metrics_sink} (every engine run's trace feeds the
-    [engine_*] counters and the run-time histogram) and
+(** Flip {!enabled} on and install the engine-side hooks: a
+    {!Tl_engine.Driver.subscribe} trace subscription (every engine run's
+    finished trace feeds the [engine_*] counters and the run-time
+    histogram; other subscribers, such as the CLI's [--trace], keep
+    receiving it too) and
     {!Tl_engine.Pool.tap} (the [pool_maps_total] / [pool_tasks_total] /
     [pool_workers] metrics) and {!Tl_engine.Team.tap}
     ([pool_spawns_total] — domain spawns by the persistent team; under a
     warm server this plateaus at the team width, so a climbing value
-    flags per-job domain churn). Idempotent; chains to no one — the
-    hooks are owned by this module while enabled. *)
+    flags per-job domain churn). Idempotent; the pool and team taps are
+    owned by this module while enabled. *)
 
 val disable : unit -> unit
-(** Uninstall the hooks and flip {!enabled} off. *)
+(** Uninstall the hooks (cancelling the trace subscription) and flip
+    {!enabled} off. *)
 
 (** {1 Flight recorder} *)
 

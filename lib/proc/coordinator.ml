@@ -3,10 +3,10 @@
    Forks one worker process per shard, ships each its Plan sub-CSR once
    via the prologue frame, then drives rounds from the stats totals the
    collective tree delivers: decision down (step / stop), local step +
-   halo exchange in the workers, stats allreduce up. The decision loops
-   replicate shard.ml's sb_* drivers (themselves mirrors of the Seq
-   stepper) so labelings, round counts, trace records and failure
-   messages are bit-identical for any (procs, shards).
+   halo exchange in the workers, stats allreduce up. One such round is
+   the [round] function the engine's round driver runs, so termination,
+   the fault gate, trace records and failure messages are the driver's —
+   bit-identical to every other backend for any (procs, shards).
 
    Worker lifecycle is owned here: a Fun.protect finally reaps every
    child on every exit path — orderly completion, max_rounds failure,
@@ -17,7 +17,7 @@
 module Engine = Tl_engine.Engine
 module Flat = Tl_engine.Flat
 module Topology = Tl_engine.Topology
-module Trace = Tl_engine.Trace
+module Driver = Tl_engine.Driver
 module Team = Tl_engine.Team
 module Plan = Tl_shard.Plan
 module Span = Tl_obs.Span
@@ -28,22 +28,13 @@ let now = Unix.gettimeofday
 let m_halo_words = lazy (Metrics.counter "proc_halo_words_total")
 let m_runs = lazy (Metrics.counter "proc_runs_total")
 
-let record tr ~round ~active ~changed ~unhalted ~t0 =
-  Option.iter
-    (fun t ->
-      Trace.record t
-        { Trace.round; active; changed; unhalted; wall_s = now () -. t0 })
-    tr
-
 (* ---------- cluster plumbing ---------- *)
-
-type stats = { s_active : int; s_changed : int; s_unhalted : int }
 
 type ops = {
   plan : Plan.t;
-  size : int;
-  stats0 : stats;
-  step : round:int -> stats;
+  st : Driver.stats;  (* the cluster's initial totals *)
+  step : int -> Driver.stats -> unit;
+      (* one round: broadcast "step r", await the reduced totals *)
   stop : ship:bool -> bytes option array;
       (* per-rank owned-state images (ascending) when [ship] *)
 }
@@ -139,7 +130,7 @@ let spawn_workers ~size ~direct ~pairs ~body =
     pairs;
   pids
 
-let with_cluster ~procs ~topo ~entry ~sched ~slots ~body ~drive =
+let with_cluster ~procs ~topo ~term ~sched ~slots ~body ~drive =
   if Team.spawns () > 0 then
     Wire.fail
       "proc backend cannot fork: this process already spawned domains \
@@ -281,6 +272,11 @@ let with_cluster ~procs ~topo ~entry ~sched ~slots ~body ~drive =
     Array.iteri (fun i f -> if f == fd then r := i) cfd;
     !r
   in
+  let fds_where pred =
+    List.filter_map
+      (fun r -> if pred r then Some cfd.(r) else None)
+      (List.init size Fun.id)
+  in
   (* Once one worker dies, its exchange peers die with it (connection
      reset / EOF mid-exchange), and the secondary error frames race the
      primary one to the coordinator. Before reporting a casualty, drain
@@ -289,16 +285,9 @@ let with_cluster ~procs ~topo ~entry ~sched ~slots ~body ~drive =
      the connection resets it caused. *)
   let postmortem first =
     let deadline = Unix.gettimeofday () +. 2.0 in
-    let live () =
-      Array.to_list
-        (Array.of_seq
-           (Seq.filter_map
-              (fun r -> if dead.(r) then None else Some cfd.(r))
-              (Seq.init size Fun.id)))
-    in
     let finished = ref false in
     while not !finished do
-      match live () with
+      match fds_where (fun r -> not dead.(r)) with
       | [] -> finished := true
       | fds ->
         let timeout = deadline -. Unix.gettimeofday () in
@@ -331,16 +320,14 @@ let with_cluster ~procs ~topo ~entry ~sched ~slots ~body ~drive =
       dead.(rank) <- true;
       postmortem (worker_died rank)
   in
-  (* Wait for one frame satisfying [accept], watching every worker
-     channel so a crash anywhere (error frame or EOF) surfaces instead
-     of hanging the run. *)
+  (* Wait for one frame that [accept] takes, watching every channel in
+     [fds] (default: all) so a crash anywhere (error frame or EOF)
+     surfaces instead of hanging the run. *)
   let recv_timeout = timeout_s () in
-  let await ~accept ~what =
-    let deadline =
-      match recv_timeout with None -> None | Some t -> Some (now () +. t)
-    in
-    let result = ref None in
-    while !result = None do
+  let await ?(fds = Array.to_list cfd) ~what accept =
+    let deadline = Option.map (fun t -> now () +. t) recv_timeout in
+    let got = ref false in
+    while not !got do
       let tmo =
         match deadline with
         | None -> -1.
@@ -353,39 +340,33 @@ let with_cluster ~procs ~topo ~entry ~sched ~slots ~body ~drive =
               what
           else left
       in
-      let ready = select_read ~timeout:tmo (Array.to_list cfd) in
       List.iter
         (fun fd ->
-          if !result = None then begin
+          if not !got then begin
             let rank = rank_of_fd fd in
-            match accept rank (read_frame rank) with
-            | Some v -> result := Some v
-            | None ->
+            if accept rank (read_frame rank) then got := true
+            else
               Wire.fail "unexpected frame from worker %d while awaiting %s"
                 rank what
           end)
-        ready
-    done;
-    Option.get !result
+        (select_read ~timeout:tmo fds)
+    done
   in
-  let await_stats ~round =
-    await ~what:(Printf.sprintf "stats (round %d)" round)
-      ~accept:(fun rank f ->
+  let await_stats ~round (st : Driver.stats) =
+    await ~what:(Printf.sprintf "stats (round %d)" round) (fun rank f ->
         match f with
         | Wire.Stats s when rank = 0 && s.round = round ->
-          Some
-            {
-              s_active = s.active;
-              s_changed = s.changed;
-              s_unhalted = s.unhalted;
-            }
-        | _ -> None)
+          st.active <- s.active;
+          st.changed <- s.changed;
+          st.unhalted <- s.unhalted;
+          true
+        | _ -> false)
   in
   let send_decision ~action ~round =
     let img = Wire.encode (Wire.Decision { action; round }) in
     Transport.send_frame cfd.(0) img (Bytes.length img)
   in
-  let step ~round =
+  let step round st =
     (match !fault_kill_hook with
     | None -> ()
     | Some kills ->
@@ -396,54 +377,26 @@ let with_cluster ~procs ~topo ~entry ~sched ~slots ~body ~drive =
             with Unix.Unix_error _ -> ())
         (kills ~round));
     send_decision ~action:Wire.a_step ~round;
-    await_stats ~round
+    await_stats ~round st
   in
   let stop ~ship =
     send_decision
       ~action:(if ship then Wire.a_stop_result else Wire.a_stop)
       ~round:0;
     let states = Array.make size None in
-    let n_got = ref 0 in
-    let deadline =
-      match recv_timeout with None -> None | Some t -> Some (now () +. t)
-    in
-    while !n_got < size do
-      let pend =
-        Array.to_list
-          (Array.of_seq
-             (Seq.filter_map
-                (fun rank ->
-                  if have_epi.(rank) then None else Some cfd.(rank))
-                (Seq.init size Fun.id)))
-      in
-      let tmo =
-        match deadline with
-        | None -> -1.
-        | Some d ->
-          let left = d -. now () in
-          if left <= 0. then
-            Wire.fail
-              "timeout after %.0f ms awaiting epilogue (TL_PROC_TIMEOUT_MS)"
-              (Option.get recv_timeout *. 1000.)
-          else left
-      in
-      let ready = select_read ~timeout:tmo pend in
-      List.iter
-        (fun fd ->
-          let rank = rank_of_fd fd in
-          if not have_epi.(rank) then begin
-            match read_frame rank with
-            | Wire.Epilogue e when e.src = rank ->
-              have_epi.(rank) <- true;
-              incr n_got;
-              epi_halo.(rank) <- e.halo_words;
-              epi_exch.(rank) <- e.exchange_rounds;
-              states.(rank) <- e.states
-            | _ ->
-              Wire.fail "unexpected frame from worker %d while awaiting \
-                         epilogue" rank
-          end)
-        ready
+    for _ = 1 to size do
+      await
+        ~fds:(fds_where (fun r -> not have_epi.(r)))
+        ~what:"epilogue"
+        (fun rank f ->
+          match f with
+          | Wire.Epilogue e when e.src = rank ->
+            have_epi.(rank) <- true;
+            epi_halo.(rank) <- e.halo_words;
+            epi_exch.(rank) <- e.exchange_rounds;
+            states.(rank) <- e.states;
+            true
+          | _ -> false)
     done;
     (* orderly reap: every worker exits right after its epilogue *)
     Array.iteri
@@ -477,7 +430,7 @@ let with_cluster ~procs ~topo ~entry ~sched ~slots ~body ~drive =
                    {
                      rank;
                      size;
-                     entry = Worker.entry_code entry;
+                     entry = Worker.entry_code term;
                      sched = Worker.sched_code sched;
                      shape = Collective.code_of_shape shape;
                      slots;
@@ -488,110 +441,35 @@ let with_cluster ~procs ~topo ~entry ~sched ~slots ~body ~drive =
             in
             Transport.send_frame cfd.(rank) img (Bytes.length img))
           shards;
-        let stats0 = await_stats ~round:0 in
-        drive { plan; size; stats0; step; stop })
+        let st = Driver.stats ~active:0 ~unhalted:0 in
+        await_stats ~round:0 st;
+        drive { plan; st; step; stop })
   with
   | v -> v
   | exception Worker_failure msg -> failwith msg
 
-(* ---------- decision loops (sb_run / sb_run_until_stable /
-   sb_run_rounds, driven from stats totals) ---------- *)
-
-let drive_halted ~tr ~max_rounds ops =
-  let active = ref ops.stats0.s_active in
-  let unhalted = ref ops.stats0.s_unhalted in
-  let rounds = ref 0 in
-  let stalled = ref false in
-  let interrupted = ref false in
-  while
-    !unhalted > 0 && !rounds < max_rounds && (not !stalled)
-    && not !interrupted
-  do
-    if !active = 0 then stalled := true
-    else begin
-      let t0 = now () in
-      incr rounds;
-      let s = ops.step ~round:!rounds in
-      record tr ~round:!rounds ~active:!active ~changed:s.s_changed
-        ~unhalted:s.s_unhalted ~t0;
-      active := s.s_active;
-      unhalted := s.s_unhalted;
-      if not (Engine.gate_open ~round:!rounds) then interrupted := true
-    end
-  done;
-  if (not !interrupted) && !unhalted > 0 then begin
-    ignore (ops.stop ~ship:false);
-    failwith (Printf.sprintf "Engine.run: max_rounds=%d exceeded" max_rounds)
-  end;
-  (ops.stop ~ship:true, !rounds)
-
-let drive_stable ~tr ~max_rounds ops =
-  let active = ref ops.stats0.s_active in
-  let rounds = ref 0 in
-  let stable = ref false in
-  let interrupted = ref false in
-  while (not !interrupted) && (not !stable) && !rounds < max_rounds do
-    if !active = 0 then stable := true
-    else begin
-      let t0 = now () in
-      let s = ops.step ~round:(!rounds + 1) in
-      record tr ~round:(!rounds + 1) ~active:!active ~changed:s.s_changed
-        ~unhalted:(-1) ~t0;
-      if s.s_changed > 0 then begin
-        incr rounds;
-        if not (Engine.gate_open ~round:!rounds) then interrupted := true
-      end
-      else stable := true;
-      active := s.s_active
-    end
-  done;
-  if (not !interrupted) && not !stable then begin
-    ignore (ops.stop ~ship:false);
-    failwith
-      (Printf.sprintf "Engine.run_until_stable: max_rounds=%d exceeded"
-         max_rounds)
-  end;
-  (ops.stop ~ship:true, !rounds)
-
-let drive_fixed ~tr ~total ops =
-  let active = ref ops.stats0.s_active in
-  let executed = ref 0 in
-  let r = ref 1 in
-  let interrupted = ref false in
-  while (not !interrupted) && !r <= total do
-    if !active > 0 then begin
-      let t0 = now () in
-      let s = ops.step ~round:!r in
-      record tr ~round:!r ~active:!active ~changed:s.s_changed ~unhalted:(-1)
-        ~t0;
-      active := s.s_active;
-      executed := !r;
-      if not (Engine.gate_open ~round:!r) then interrupted := true
-    end;
-    incr r
-  done;
-  (ops.stop ~ship:true, if !interrupted then !executed else total)
+(* Run the driver over the cluster, then collect the owned-state images.
+   A [Failure] out of [Driver.loop] is its max_rounds failure (worker
+   errors surface as [Worker_failure] / [Proc_failure]): stop the workers
+   in order before re-raising it. *)
+let drive ~tr ~term ops =
+  let rounds =
+    match Driver.loop tr term ops.st ops.step with
+    | rounds -> rounds
+    | exception (Failure _ as e) ->
+      ignore (ops.stop ~ship:false);
+      raise e
+  in
+  (ops.stop ~ship:true, rounds)
 
 (* ---------- boxed entry points (the Engine.Proc hook) ---------- *)
 
-let apply_boxed_states (type a) (states : a array) sh b =
+let apply_boxed_states states sh b =
   let n_owned = sh.Plan.n_owned and l2g = sh.Plan.l2g in
   let blen = Bytes.length b in
   let pos = ref 0 in
   for l = 0 to n_owned - 1 do
-    if !pos >= blen then Wire.fail "truncated epilogue states";
-    match Bytes.get b !pos with
-    | '\000' ->
-      if !pos + 9 > blen then Wire.fail "truncated epilogue states";
-      states.(l2g.(l)) <- (Obj.magic (Wire.get_i64 b (!pos + 1)) : a);
-      pos := !pos + 9
-    | '\001' ->
-      if !pos + 5 > blen then Wire.fail "truncated epilogue states";
-      let ml = Wire.get_u32 b (!pos + 1) in
-      if !pos + 5 + ml > blen then Wire.fail "truncated epilogue states";
-      states.(l2g.(l)) <- Marshal.from_bytes (Bytes.sub b (!pos + 5) ml) 0;
-      pos := !pos + 5 + ml
-    | c -> Wire.fail "bad epilogue state tag %d" (Char.code c)
+    pos := Worker.get_boxed b !pos blen states l2g.(l)
   done;
   if !pos <> blen then Wire.fail "trailing epilogue state bytes"
 
@@ -606,67 +484,16 @@ let assemble_boxed (type a) ~topo ~(init : int -> a) ~plan images :
     images;
   states
 
-let pb_run :
-    type a.
-    procs:int ->
-    sched:Engine.scheduling ->
-    equal:(a -> a -> bool) ->
-    trace:Trace.t option ->
-    topo:Topology.t ->
-    init:(int -> a) ->
-    step:a Engine.step_fn ->
-    halted:(a -> bool) ->
-    max_rounds:int ->
-    a Engine.outcome =
- fun ~procs ~sched ~equal ~trace:tr ~topo ~init ~step ~halted ~max_rounds ->
-  with_cluster ~procs ~topo ~entry:Worker.Run ~sched ~slots:0
-    ~body:(fun env ->
-      Worker.run_boxed env ~init ~step ~equal ~halted:(Some halted))
+let pb_run ~count:procs ~sched ~equal ~halted ~trace:tr ~topo ~init ~step
+    term =
+  with_cluster ~procs ~topo ~term ~sched ~slots:0
+    ~body:(fun env -> Worker.run_boxed env ~init ~step ~equal ~halted)
     ~drive:(fun ops ->
-      let images, rounds = drive_halted ~tr ~max_rounds ops in
+      let images, rounds = drive ~tr ~term ops in
       let states = assemble_boxed ~topo ~init ~plan:ops.plan images in
       { Engine.states; rounds })
 
-let pb_run_until_stable :
-    type a.
-    procs:int ->
-    sched:Engine.scheduling ->
-    equal:(a -> a -> bool) ->
-    trace:Trace.t option ->
-    topo:Topology.t ->
-    init:(int -> a) ->
-    step:a Engine.step_fn ->
-    max_rounds:int ->
-    a Engine.outcome =
- fun ~procs ~sched ~equal ~trace:tr ~topo ~init ~step ~max_rounds ->
-  with_cluster ~procs ~topo ~entry:Worker.Stable ~sched ~slots:0
-    ~body:(fun env -> Worker.run_boxed env ~init ~step ~equal ~halted:None)
-    ~drive:(fun ops ->
-      let images, rounds = drive_stable ~tr ~max_rounds ops in
-      let states = assemble_boxed ~topo ~init ~plan:ops.plan images in
-      { Engine.states; rounds })
-
-let pb_run_rounds :
-    type a.
-    procs:int ->
-    sched:Engine.scheduling ->
-    equal:(a -> a -> bool) ->
-    trace:Trace.t option ->
-    topo:Topology.t ->
-    init:(int -> a) ->
-    step:a Engine.step_fn ->
-    rounds:int ->
-    a Engine.outcome =
- fun ~procs ~sched ~equal ~trace:tr ~topo ~init ~step ~rounds:total ->
-  with_cluster ~procs ~topo ~entry:Worker.Rounds ~sched ~slots:0
-    ~body:(fun env -> Worker.run_boxed env ~init ~step ~equal ~halted:None)
-    ~drive:(fun ops ->
-      let images, rounds = drive_fixed ~tr ~total ops in
-      let states = assemble_boxed ~topo ~init ~plan:ops.plan images in
-      { Engine.states; rounds })
-
-let () =
-  Engine.proc_backend := Some { Engine.pb_run; pb_run_until_stable; pb_run_rounds }
+let () = Engine.proc_backend := Some { Engine.run = pb_run }
 
 let register () = ()
 
@@ -700,37 +527,30 @@ let assemble_flat ~topo ~(kernel : Flat.kernel) ~plan images =
     images;
   fun rounds -> { Flat.slab; slots; rounds }
 
-let flat_global ~topo ~kernel_for =
-  kernel_for ~l2g:(Array.init topo.Topology.n_base Fun.id)
+let run_flat_with ?procs ~sched ~topo ~kernel_for term =
+  let procs =
+    match procs with Some p -> p | None -> max 1 !Engine.default_procs
+  in
+  let kernel = kernel_for ~l2g:(Array.init topo.Topology.n_base Fun.id) in
+  (match (term, kernel.Flat.halted) with
+  | Driver.Until_halted _, None ->
+    invalid_arg
+      (Printf.sprintf "Proc.run_flat: kernel %s has no halted predicate"
+         kernel.Flat.name)
+  | _ -> ());
+  with_cluster ~procs ~topo ~term ~sched ~slots:kernel.Flat.slots
+    ~body:(fun env -> Worker.run_flat env ~kernel_for)
+    ~drive:(fun ops ->
+      let images, rounds = drive ~tr:None ~term ops in
+      assemble_flat ~topo ~kernel ~plan:ops.plan images rounds)
 
 let run_flat ?procs ?(sched = Engine.Active_set) ~topo ~kernel_for
     ~max_rounds () =
-  let procs =
-    match procs with Some p -> p | None -> max 1 !Engine.default_procs
-  in
-  let kernel = flat_global ~topo ~kernel_for in
-  if kernel.Flat.halted = None then
-    invalid_arg
-      (Printf.sprintf "Proc.run_flat: kernel %s has no halted predicate"
-         kernel.Flat.name);
-  with_cluster ~procs ~topo ~entry:Worker.Run ~sched ~slots:kernel.Flat.slots
-    ~body:(fun env -> Worker.run_flat env ~kernel_for)
-    ~drive:(fun ops ->
-      let images, rounds = drive_halted ~tr:None ~max_rounds ops in
-      assemble_flat ~topo ~kernel ~plan:ops.plan images rounds)
+  run_flat_with ?procs ~sched ~topo ~kernel_for (Driver.Until_halted max_rounds)
 
 let run_flat_until_stable ?procs ?(sched = Engine.Active_set) ~topo
     ~kernel_for ~max_rounds () =
-  let procs =
-    match procs with Some p -> p | None -> max 1 !Engine.default_procs
-  in
-  let kernel : Flat.kernel = flat_global ~topo ~kernel_for in
-  with_cluster ~procs ~topo ~entry:Worker.Stable ~sched
-    ~slots:kernel.Flat.slots
-    ~body:(fun env -> Worker.run_flat env ~kernel_for)
-    ~drive:(fun ops ->
-      let images, rounds = drive_stable ~tr:None ~max_rounds ops in
-      assemble_flat ~topo ~kernel ~plan:ops.plan images rounds)
+  run_flat_with ?procs ~sched ~topo ~kernel_for (Driver.Until_stable max_rounds)
 
 (* Shard-local builders for the stock flat kernels: the worker calls
    [kernel_for ~l2g:shard.l2g] so node-indexed inputs are remapped into

@@ -16,23 +16,25 @@
      →  stats allreduce up the tree (active/changed/unhalted/halo_words
      summed component-wise).
 
-   The executor bodies mirror shard.ml (boxed) and flat.ml (slab) line
-   for line — the differential battery holds proc, shard and seq
-   together bit for bit. *)
+   One executor runs that loop for both state layouts; a small codec
+   supplies what differs — how a node is stepped and committed, and how
+   its state is encoded on the wire (boxed: tag 0 + i64 for immediates,
+   tag 1 + Marshal otherwise; flat: [slots] tagged int words). The
+   differential battery holds proc, shard and seq together bit for
+   bit. *)
 
 module Engine = Tl_engine.Engine
+module Driver = Tl_engine.Driver
 module Flat = Tl_engine.Flat
+module Frontier = Tl_engine.Frontier
 module Plan = Tl_shard.Plan
 
-type entry_kind = Run | Stable | Rounds
-
-let entry_code = function Run -> 1 | Stable -> 2 | Rounds -> 3
-
-let entry_of_code = function
-  | 1 -> Run
-  | 2 -> Stable
-  | 3 -> Rounds
-  | c -> Wire.fail "unknown entry code %d" c
+(* The prologue's entry code: which termination the coordinator drives.
+   Workers only need to know whether halting is tracked. *)
+let entry_code = function
+  | Driver.Until_halted _ -> 1
+  | Driver.Until_stable _ -> 2
+  | Driver.Fixed _ -> 3
 
 let sched_code = function Engine.Active_set -> 0 | Engine.Full_scan -> 1
 
@@ -44,7 +46,7 @@ let sched_of_code = function
 type env = {
   rank : int;
   size : int;
-  entry : entry_kind;
+  halting : bool;  (* Until_halted: track the unhalted count *)
   sched : Engine.scheduling;
   slots : int;
   sh : Plan.shard;
@@ -114,7 +116,7 @@ let send_epilogue env ~halo_words ~exchange_rounds ~states =
   in
   Transport.send_frame env.coord img (Bytes.length img)
 
-(* ---------- halo plumbing shared by both executors ---------- *)
+(* ---------- halo plumbing ---------- *)
 
 (* Start a halo frame image in [buf]; body entries follow at the
    returned offset. *)
@@ -152,25 +154,202 @@ let open_halo env ~expect_src ~round buf =
       expect_src;
   (Wire.get_u32 b 11, 15)
 
-(* ---------- the boxed executor (shard.ml's sctx, one shard) ---------- *)
+(* ---------- state codecs ---------- *)
 
-let run_boxed (type a) env ~(init : int -> a) ~(step : a Engine.step_fn)
+(* What the executor needs to know about one state layout, over the
+   shard's local index space (owned nodes first, then ghosts). *)
+type codec = {
+  compute : round:int -> int -> unit;
+      (* step owned [l] into the round buffer *)
+  commit : int -> bool;
+      (* publish owned [l]'s next state; [true] if it changed *)
+  halted : int -> bool;  (* is owned [l]'s published state halted? *)
+  put : Transport.Buf.t -> int -> int -> int;
+      (* [put buf pos l]: append [l]'s state at [pos], return the end *)
+  get : bytes -> int -> int -> int -> int;
+      (* [get b pos len l]: decode a state at [pos] into local [l], return
+         the end (bounds-checked against [len]) *)
+  image : unit -> bytes;  (* the owned states, for the epilogue *)
+}
+
+(* Boxed states travel as tag 0 + the i64 word for immediates, tag 1 +
+   u32 length + the Marshal image otherwise. Shared with the
+   coordinator's epilogue decoding. *)
+let put_boxed (buf : Transport.Buf.t) pos v =
+  buf.len <- pos;
+  let r = Obj.repr v in
+  if Obj.is_int r then begin
+    Transport.Buf.ensure buf (pos + 9);
+    Bytes.unsafe_set buf.b pos '\000';
+    Wire.put_i64 buf.b (pos + 1) (Obj.obj r : int);
+    pos + 9
+  end
+  else begin
+    let m = Marshal.to_bytes v [] in
+    let ml = Bytes.length m in
+    Transport.Buf.ensure buf (pos + 5 + ml);
+    Bytes.unsafe_set buf.b pos '\001';
+    Wire.put_u32 buf.b (pos + 1) ml;
+    Bytes.blit m 0 buf.b (pos + 5) ml;
+    pos + 5 + ml
+  end
+
+let get_boxed (type a) b pos len (dst : a array) i =
+  if pos >= len then Wire.fail "truncated state";
+  match Bytes.get b pos with
+  | '\000' ->
+    if pos + 9 > len then Wire.fail "truncated state";
+    dst.(i) <- (Obj.magic (Wire.get_i64 b (pos + 1)) : a);
+    pos + 9
+  | '\001' ->
+    if pos + 5 > len then Wire.fail "truncated state";
+    let ml = Wire.get_u32 b (pos + 1) in
+    if pos + 5 + ml > len then Wire.fail "truncated state marshal";
+    dst.(i) <- Marshal.from_bytes (Bytes.sub b (pos + 5) ml) 0;
+    pos + 5 + ml
+  | c -> Wire.fail "bad state tag %d" (Char.code c)
+
+(* shard.ml's sctx, one shard: neighbor triples carry global ids *)
+let boxed_codec (type a) env ~(init : int -> a) ~(step : a Engine.step_fn)
     ~(equal : a -> a -> bool) ~(halted : (a -> bool) option) =
   let sh = env.sh in
-  let n_owned = sh.Plan.n_owned and n_local = sh.Plan.n_local in
-  let l2g = sh.Plan.l2g in
+  let n_owned = sh.Plan.n_owned and l2g = sh.Plan.l2g in
   let off = sh.Plan.off and adj = sh.Plan.adj and eid = sh.Plan.eid in
+  let st : a array = Array.init sh.Plan.n_local (fun l -> init l2g.(l)) in
+  let nx = Array.sub st 0 n_owned in
+  let halted = match halted with Some h -> h | None -> fun _ -> true in
+  {
+    compute =
+      (fun ~round l ->
+        let acc = ref [] in
+        let lo = Array.unsafe_get off l in
+        for j = Array.unsafe_get off (l + 1) - 1 downto lo do
+          let u = Array.unsafe_get adj j in
+          acc :=
+            ( Array.unsafe_get l2g u,
+              Array.unsafe_get eid j,
+              Array.unsafe_get st u )
+            :: !acc
+        done;
+        Array.unsafe_set nx l
+          (step ~round ~node:(Array.unsafe_get l2g l) (Array.unsafe_get st l)
+             ~neighbors:!acc));
+    commit =
+      (fun l ->
+        let s' = Array.unsafe_get nx l in
+        (not (equal s' (Array.unsafe_get st l)))
+        && begin
+             Array.unsafe_set st l s';
+             true
+           end);
+    halted = (fun l -> halted st.(l));
+    put = (fun buf pos l -> put_boxed buf pos (Array.unsafe_get st l));
+    get = (fun b pos len l -> get_boxed b pos len st l);
+    image =
+      (fun () ->
+        let buf = Transport.Buf.create (n_owned * 9) in
+        let pos = ref 0 in
+        for l = 0 to n_owned - 1 do
+          pos := put_boxed buf !pos st.(l)
+        done;
+        Bytes.sub buf.b 0 !pos);
+  }
+
+(* flat.ml's core over the sub-CSR. The kernel builder receives the
+   shard's l2g so node-indexed inputs (source ids, priority arrays) can
+   be remapped into local space; the kernel then runs against a ctx
+   whose CSR is the shard's sub-CSR — valid because adj entries are
+   local indices into the local slab. On the wire each slot is a tag-0
+   word; the epilogue image is the bare words. *)
+let flat_codec env ~(kernel_for : l2g:int array -> Flat.kernel) =
+  let sh = env.sh in
+  let n_owned = sh.Plan.n_owned in
+  let k = kernel_for ~l2g:sh.Plan.l2g in
+  let slots = k.Flat.slots in
+  if slots <> env.slots then
+    Wire.fail "worker %d: kernel slots %d disagree with prologue %d" env.rank
+      slots env.slots;
+  let init = k.Flat.init in
+  let cur =
+    Array.init (sh.Plan.n_local * slots) (fun i ->
+        init ~node:(i / slots) ~slot:(i mod slots))
+  in
+  let nxt = Array.sub cur 0 (n_owned * slots) in
+  let ctx =
+    {
+      Flat.n_base = sh.Plan.n_local;
+      n_present = n_owned;
+      off = sh.Plan.off;
+      adj = sh.Plan.adj;
+      eid = sh.Plan.eid;
+      slots;
+      cur;
+      nxt;
+    }
+  in
+  let scratch = Array.make (max 1 k.Flat.scratch_words) 0 in
+  let step = k.Flat.step in
+  let halted =
+    match k.Flat.halted with Some h -> h | None -> fun _ ~node:_ -> true
+  in
+  {
+    compute = (fun ~round l -> step ctx ~scratch ~round ~node:l);
+    commit =
+      (fun l ->
+        let base = l * slots in
+        Flat.words_differ cur nxt base 0 slots
+        && begin
+             Array.blit nxt base cur base slots;
+             true
+           end);
+    halted = (fun l -> halted ctx ~node:l);
+    put =
+      (fun buf pos l ->
+        buf.len <- pos;
+        Transport.Buf.ensure buf (pos + (slots * 9));
+        let src = l * slots in
+        for kk = 0 to slots - 1 do
+          let wpos = pos + (kk * 9) in
+          Bytes.unsafe_set buf.b wpos '\000';
+          Wire.put_i64 buf.b (wpos + 1) (Array.unsafe_get cur (src + kk))
+        done;
+        pos + (slots * 9));
+    get =
+      (fun b pos len l ->
+        if pos + (slots * 9) > len then Wire.fail "truncated flat state";
+        let base = l * slots in
+        for kk = 0 to slots - 1 do
+          let wpos = pos + (kk * 9) in
+          (match Bytes.unsafe_get b wpos with
+          | '\000' -> ()
+          | c -> Wire.fail "bad flat state tag %d" (Char.code c));
+          Array.unsafe_set cur (base + kk) (Wire.get_i64 b (wpos + 1))
+        done;
+        pos + (slots * 9));
+    image =
+      (fun () ->
+        let b = Bytes.create (n_owned * slots * 8) in
+        for i = 0 to (n_owned * slots) - 1 do
+          Wire.put_i64 b (i * 8) cur.(i)
+        done;
+        b);
+  }
+
+(* ---------- the executor ---------- *)
+
+let execute env (c : codec) =
+  let sh = env.sh in
+  let n_owned = sh.Plan.n_owned and n_local = sh.Plan.n_local in
+  let off = sh.Plan.off and adj = sh.Plan.adj in
   let xoff = sh.Plan.xoff
   and xshard = sh.Plan.xshard
   and xslot = sh.Plan.xslot in
-  let st : a array = Array.init n_local (fun l -> init l2g.(l)) in
-  let nx = Array.sub st 0 n_owned in
   let routes = xoff.(n_owned) in
-  let active = ref (Array.init n_owned (fun l -> l)) in
-  let n_active = ref n_owned in
-  let pending = ref (Array.make (max 1 n_owned) 0) in
-  let n_pending = ref 0 in
-  let dirty = Array.make (max 1 n_owned) false in
+  let fr =
+    Frontier.create
+      ~active:(Array.init n_owned (fun l -> l))
+      ~universe:n_owned ~dense:n_owned
+  in
   let out_dst = Array.make (max 1 routes) 0
   and out_slot = Array.make (max 1 routes) 0
   and out_src = Array.make (max 1 routes) 0 in
@@ -178,66 +357,39 @@ let run_boxed (type a) env ~(init : int -> a) ~(step : a Engine.step_fn)
   let halo_words = ref 0 and exchange_rounds = ref 0 in
   let halted_f = Array.make (max 1 n_owned) true in
   let unhalted = ref 0 in
-  (match halted with
-  | None -> ()
-  | Some h ->
+  if env.halting then
     for l = 0 to n_owned - 1 do
-      let hv = h st.(l) in
+      let hv = c.halted l in
       halted_f.(l) <- hv;
       if not hv then incr unhalted
-    done);
-  let mark l =
-    if not (Array.unsafe_get dirty l) then begin
-      Array.unsafe_set dirty l true;
-      Array.unsafe_set !pending !n_pending l;
-      incr n_pending
-    end
-  in
+    done;
   let compute round =
-    let act = !active in
-    for i = 0 to !n_active - 1 do
-      let l = Array.unsafe_get act i in
-      let acc = ref [] in
-      let lo = Array.unsafe_get off l in
-      let j = ref (Array.unsafe_get off (l + 1) - 1) in
-      while !j >= lo do
-        let u = Array.unsafe_get adj !j in
-        acc :=
-          ( Array.unsafe_get l2g u,
-            Array.unsafe_get eid !j,
-            Array.unsafe_get st u )
-          :: !acc;
-        decr j
-      done;
-      Array.unsafe_set nx l
-        (step ~round ~node:(Array.unsafe_get l2g l) (Array.unsafe_get st l)
-           ~neighbors:!acc)
+    let act = fr.Frontier.active in
+    for i = 0 to fr.Frontier.n_active - 1 do
+      c.compute ~round (Array.unsafe_get act i)
     done
   in
   let commit () =
     let changed = ref 0 in
-    let act = !active in
-    for i = 0 to !n_active - 1 do
+    let act = fr.Frontier.active in
+    for i = 0 to fr.Frontier.n_active - 1 do
       let l = Array.unsafe_get act i in
-      let s' = Array.unsafe_get nx l in
-      if not (equal s' (Array.unsafe_get st l)) then begin
+      if c.commit l then begin
         incr changed;
-        Array.unsafe_set st l s';
-        (match halted with
-        | None -> ()
-        | Some h ->
-          let hv = h s' in
+        if env.halting then begin
+          let hv = c.halted l in
           if hv <> Array.unsafe_get halted_f l then begin
             Array.unsafe_set halted_f l hv;
             if hv then decr unhalted else incr unhalted
-          end);
+          end
+        end;
         (match env.sched with
         | Engine.Full_scan -> ()
         | Engine.Active_set ->
-          mark l;
+          Frontier.mark fr l;
           for j = Array.unsafe_get off l to Array.unsafe_get off (l + 1) - 1 do
             let u = Array.unsafe_get adj j in
-            if u < n_owned then mark u
+            if u < n_owned then Frontier.mark fr u
           done);
         for x = Array.unsafe_get xoff l to Array.unsafe_get xoff (l + 1) - 1 do
           let k = !n_out in
@@ -250,31 +402,9 @@ let run_boxed (type a) env ~(init : int -> a) ~(step : a Engine.step_fn)
     done;
     !changed
   in
-  let advance () =
-    let k = !n_pending in
-    let pnd = !pending in
-    if k * 8 >= n_owned then begin
-      let idx = ref 0 in
-      for l = 0 to n_owned - 1 do
-        if Array.unsafe_get dirty l then begin
-          Array.unsafe_set dirty l false;
-          Array.unsafe_set pnd !idx l;
-          incr idx
-        end
-      done
-    end
-    else
-      for i = 0 to k - 1 do
-        Array.unsafe_set dirty (Array.unsafe_get pnd i) false
-      done;
-    let old = !active in
-    active := pnd;
-    pending := old;
-    n_active := k;
-    n_pending := 0
-  in
   (* halo out: one reusable frame buffer per out-peer; [peer_of] maps a
-     route's target rank to its buffer *)
+     route's target rank to its buffer. An entry is the target slot (u32)
+     followed by the codec's state encoding. *)
   let n_outp = Array.length env.out_fds in
   let peer_of = Array.make (max 1 env.size) (-1) in
   Array.iteri (fun i (r, _) -> peer_of.(r) <- i) env.out_fds;
@@ -290,28 +420,10 @@ let run_boxed (type a) env ~(init : int -> a) ~(step : a Engine.step_fn)
       let p = peer_of.(Array.unsafe_get out_dst b) in
       let buf = obufs.(p) in
       let pos = opos.(p) in
-      let s = Array.unsafe_get st (Array.unsafe_get out_src b) in
-      let r = Obj.repr s in
       buf.Transport.Buf.len <- pos;
-      if Obj.is_int r then begin
-        Transport.Buf.ensure buf (pos + 13);
-        let bb = buf.Transport.Buf.b in
-        Wire.put_u32 bb pos (Array.unsafe_get out_slot b);
-        Bytes.unsafe_set bb (pos + 4) '\000';
-        Wire.put_i64 bb (pos + 5) (Obj.obj r : int);
-        opos.(p) <- pos + 13
-      end
-      else begin
-        let m = Marshal.to_bytes s [] in
-        let ml = Bytes.length m in
-        Transport.Buf.ensure buf (pos + 9 + ml);
-        let bb = buf.Transport.Buf.b in
-        Wire.put_u32 bb pos (Array.unsafe_get out_slot b);
-        Bytes.unsafe_set bb (pos + 4) '\001';
-        Wire.put_u32 bb (pos + 5) ml;
-        Bytes.blit m 0 bb (pos + 9) ml;
-        opos.(p) <- pos + 9 + ml
-      end;
+      Transport.Buf.ensure buf (pos + 4);
+      Wire.put_u32 buf.Transport.Buf.b pos (Array.unsafe_get out_slot b);
+      opos.(p) <- c.put buf (pos + 4) (Array.unsafe_get out_src b);
       ocnt.(p) <- ocnt.(p) + 1
     done;
     let outs =
@@ -334,36 +446,17 @@ let run_boxed (type a) env ~(init : int -> a) ~(step : a Engine.step_fn)
         let b = buf.Transport.Buf.b and blen = buf.Transport.Buf.len in
         let pos = ref ent0 in
         for _ = 1 to n do
-          if !pos + 5 > blen then Wire.fail "worker %d: truncated halo" env.rank;
+          if !pos + 4 > blen then Wire.fail "worker %d: truncated halo" env.rank;
           let slot = Wire.get_u32 b !pos in
           if slot < n_owned || slot >= n_local then
             Wire.fail "worker %d: halo slot %d out of range" env.rank slot;
-          let v : a =
-            match Bytes.unsafe_get b (!pos + 4) with
-            | '\000' ->
-              if !pos + 13 > blen then
-                Wire.fail "worker %d: truncated halo entry" env.rank;
-              let w = Wire.get_i64 b (!pos + 5) in
-              pos := !pos + 13;
-              (Obj.magic w : a)
-            | '\001' ->
-              if !pos + 9 > blen then
-                Wire.fail "worker %d: truncated halo entry" env.rank;
-              let ml = Wire.get_u32 b (!pos + 5) in
-              if !pos + 9 + ml > blen then
-                Wire.fail "worker %d: truncated halo marshal" env.rank;
-              let v = Marshal.from_bytes (Bytes.sub b (!pos + 9) ml) 0 in
-              pos := !pos + 9 + ml;
-              v
-            | c -> Wire.fail "worker %d: bad state tag %d" env.rank (Char.code c)
-          in
-          Array.unsafe_set st slot v;
+          pos := c.get b (!pos + 4) blen slot;
           match env.sched with
           | Engine.Full_scan -> ()
           | Engine.Active_set ->
             let h = slot - n_owned in
             for j = sh.Plan.halo_off.(h) to sh.Plan.halo_off.(h + 1) - 1 do
-              mark (Array.unsafe_get sh.Plan.halo_adj j)
+              Frontier.mark fr (Array.unsafe_get sh.Plan.halo_adj j)
             done
         done;
         if !pos <> blen then
@@ -375,10 +468,10 @@ let run_boxed (type a) env ~(init : int -> a) ~(step : a Engine.step_fn)
     end;
     n_out := 0
   in
-  (* initial stats: the pre-round totals the coordinator's decision loop
-     starts from *)
-  send_stats env ~round:0 ~active:!n_active ~changed:0 ~unhalted:!unhalted
-    ~halo_words:0;
+  (* initial stats: the pre-round totals the coordinator's driver starts
+     from *)
+  send_stats env ~round:0 ~active:fr.Frontier.n_active ~changed:0
+    ~unhalted:!unhalted ~halo_words:0;
   let stop = ref None in
   while !stop = None do
     let action, round = recv_decision env in
@@ -388,280 +481,19 @@ let run_boxed (type a) env ~(init : int -> a) ~(step : a Engine.step_fn)
       exchange round;
       (match env.sched with
       | Engine.Full_scan -> ()
-      | Engine.Active_set -> advance ());
-      send_stats env ~round ~active:!n_active ~changed ~unhalted:!unhalted
-        ~halo_words:!halo_words
+      | Engine.Active_set -> Frontier.advance fr);
+      send_stats env ~round ~active:fr.Frontier.n_active ~changed
+        ~unhalted:!unhalted ~halo_words:!halo_words
     end
     else stop := Some (action = Wire.a_stop_result)
   done;
-  let states =
-    if !stop = Some true then begin
-      let buf = Buffer.create (n_owned * 13) in
-      for l = 0 to n_owned - 1 do
-        let r = Obj.repr st.(l) in
-        if Obj.is_int r then begin
-          let w = Bytes.create 9 in
-          Bytes.set w 0 '\000';
-          Wire.put_i64 w 1 (Obj.obj r : int);
-          Buffer.add_bytes buf w
-        end
-        else begin
-          let m = Marshal.to_bytes st.(l) [] in
-          let w = Bytes.create 5 in
-          Bytes.set w 0 '\001';
-          Wire.put_u32 w 1 (Bytes.length m);
-          Buffer.add_bytes buf w;
-          Buffer.add_bytes buf m
-        end
-      done;
-      Some (Buffer.to_bytes buf)
-    end
-    else None
-  in
   send_epilogue env ~halo_words:!halo_words ~exchange_rounds:!exchange_rounds
-    ~states
+    ~states:(if !stop = Some true then Some (c.image ()) else None)
 
-(* ---------- the flat executor (flat.ml's core over the sub-CSR) ---------- *)
+let run_boxed env ~init ~step ~equal ~halted =
+  execute env (boxed_codec env ~init ~step ~equal ~halted)
 
-(* The kernel builder receives the shard's l2g so node-indexed inputs
-   (source ids, priority arrays) can be remapped into local space; the
-   kernel then runs against a ctx whose CSR is the shard's sub-CSR —
-   valid because adj entries are local indices into the local slab. *)
-let run_flat env ~(kernel_for : l2g:int array -> Flat.kernel) =
-  let sh = env.sh in
-  let n_owned = sh.Plan.n_owned and n_local = sh.Plan.n_local in
-  let k = kernel_for ~l2g:sh.Plan.l2g in
-  let slots = k.Flat.slots in
-  if slots <> env.slots then
-    Wire.fail "worker %d: kernel slots %d disagree with prologue %d" env.rank
-      slots env.slots;
-  let init = k.Flat.init in
-  let cur =
-    Array.init (n_local * slots) (fun i ->
-        init ~node:(i / slots) ~slot:(i mod slots))
-  in
-  let nxt = Array.sub cur 0 (n_owned * slots) in
-  let ctx =
-    {
-      Flat.n_base = n_local;
-      n_present = n_owned;
-      off = sh.Plan.off;
-      adj = sh.Plan.adj;
-      eid = sh.Plan.eid;
-      slots;
-      cur;
-      nxt;
-    }
-  in
-  let scratch = Array.make (max 1 k.Flat.scratch_words) 0 in
-  let xoff = sh.Plan.xoff
-  and xshard = sh.Plan.xshard
-  and xslot = sh.Plan.xslot in
-  let routes = xoff.(n_owned) in
-  let active = ref (Array.init n_owned (fun l -> l)) in
-  let n_active = ref n_owned in
-  let pending = ref (Array.make (max 1 n_owned) 0) in
-  let n_pending = ref 0 in
-  let dirty = Array.make (max 1 n_owned) false in
-  let out_dst = Array.make (max 1 routes) 0
-  and out_slot = Array.make (max 1 routes) 0
-  and out_src = Array.make (max 1 routes) 0 in
-  let n_out = ref 0 in
-  let halo_words = ref 0 and exchange_rounds = ref 0 in
-  let halt = if env.entry = Run then k.Flat.halted else None in
-  let halted_f = Array.make (max 1 n_owned) true in
-  let unhalted = ref 0 in
-  (match halt with
-  | None -> ()
-  | Some h ->
-    for l = 0 to n_owned - 1 do
-      let hv = h ctx ~node:l in
-      halted_f.(l) <- hv;
-      if not hv then incr unhalted
-    done);
-  let mark l =
-    if not (Array.unsafe_get dirty l) then begin
-      Array.unsafe_set dirty l true;
-      Array.unsafe_set !pending !n_pending l;
-      incr n_pending
-    end
-  in
-  let step = k.Flat.step in
-  let compute round =
-    let act = !active in
-    for i = 0 to !n_active - 1 do
-      step ctx ~scratch ~round ~node:(Array.unsafe_get act i)
-    done
-  in
-  let commit () =
-    let changed = ref 0 in
-    let act = !active in
-    let off = sh.Plan.off and adj = sh.Plan.adj in
-    for i = 0 to !n_active - 1 do
-      let l = Array.unsafe_get act i in
-      let base = l * slots in
-      if Flat.words_differ cur nxt base 0 slots then begin
-        incr changed;
-        Array.blit nxt base cur base slots;
-        (match halt with
-        | None -> ()
-        | Some h ->
-          let hv = h ctx ~node:l in
-          if hv <> Array.unsafe_get halted_f l then begin
-            Array.unsafe_set halted_f l hv;
-            if hv then decr unhalted else incr unhalted
-          end);
-        (match env.sched with
-        | Engine.Full_scan -> ()
-        | Engine.Active_set ->
-          mark l;
-          for j = Array.unsafe_get off l to Array.unsafe_get off (l + 1) - 1 do
-            let u = Array.unsafe_get adj j in
-            if u < n_owned then mark u
-          done);
-        for x = Array.unsafe_get xoff l to Array.unsafe_get xoff (l + 1) - 1 do
-          let kk = !n_out in
-          Array.unsafe_set out_dst kk (Array.unsafe_get xshard x);
-          Array.unsafe_set out_slot kk (Array.unsafe_get xslot x);
-          Array.unsafe_set out_src kk l;
-          n_out := kk + 1
-        done
-      end
-    done;
-    !changed
-  in
-  let advance () =
-    let kk = !n_pending in
-    let pnd = !pending in
-    if kk * 8 >= n_owned then begin
-      let idx = ref 0 in
-      for l = 0 to n_owned - 1 do
-        if Array.unsafe_get dirty l then begin
-          Array.unsafe_set dirty l false;
-          Array.unsafe_set pnd !idx l;
-          incr idx
-        end
-      done
-    end
-    else
-      for i = 0 to kk - 1 do
-        Array.unsafe_set dirty (Array.unsafe_get pnd i) false
-      done;
-    let old = !active in
-    active := pnd;
-    pending := old;
-    n_active := kk;
-    n_pending := 0
-  in
-  let n_outp = Array.length env.out_fds in
-  let peer_of = Array.make (max 1 env.size) (-1) in
-  Array.iteri (fun i (r, _) -> peer_of.(r) <- i) env.out_fds;
-  let obufs = Array.init n_outp (fun _ -> Transport.Buf.create 4096) in
-  let opos = Array.make (max 1 n_outp) 0 in
-  let ocnt = Array.make (max 1 n_outp) 0 in
-  let entry_bytes = 4 + (slots * 9) in
-  let exchange round =
-    for p = 0 to n_outp - 1 do
-      opos.(p) <- begin_halo obufs.(p);
-      ocnt.(p) <- 0
-    done;
-    for b = 0 to !n_out - 1 do
-      let p = peer_of.(Array.unsafe_get out_dst b) in
-      let buf = obufs.(p) in
-      let pos = opos.(p) in
-      buf.Transport.Buf.len <- pos;
-      Transport.Buf.ensure buf (pos + entry_bytes);
-      let bb = buf.Transport.Buf.b in
-      Wire.put_u32 bb pos (Array.unsafe_get out_slot b);
-      let src = Array.unsafe_get out_src b * slots in
-      for kk = 0 to slots - 1 do
-        let wpos = pos + 4 + (kk * 9) in
-        Bytes.unsafe_set bb wpos '\000';
-        Wire.put_i64 bb (wpos + 1) (Array.unsafe_get cur (src + kk))
-      done;
-      opos.(p) <- pos + entry_bytes;
-      ocnt.(p) <- ocnt.(p) + 1
-    done;
-    let outs =
-      Array.init n_outp (fun p ->
-          finish_halo obufs.(p) ~round ~src:env.rank ~n:ocnt.(p) opos.(p);
-          Transport.make_out (snd env.out_fds.(p)) obufs.(p).Transport.Buf.b
-            opos.(p))
-    in
-    let ins =
-      Array.mapi
-        (fun i (_, fd) -> Transport.make_in fd env.ibufs.(i))
-        env.in_fds
-    in
-    Transport.exchange ~outs ~ins;
-    Array.iteri
-      (fun i (src, _) ->
-        let buf = env.ibufs.(i) in
-        let n, ent0 = open_halo env ~expect_src:src ~round buf in
-        let b = buf.Transport.Buf.b and blen = buf.Transport.Buf.len in
-        if ent0 + (n * entry_bytes) <> blen then
-          Wire.fail "worker %d: halo size mismatch" env.rank;
-        let pos = ref ent0 in
-        for _ = 1 to n do
-          let slot = Wire.get_u32 b !pos in
-          if slot < n_owned || slot >= n_local then
-            Wire.fail "worker %d: halo slot %d out of range" env.rank slot;
-          let base = slot * slots in
-          for kk = 0 to slots - 1 do
-            let wpos = !pos + 4 + (kk * 9) in
-            (match Bytes.unsafe_get b wpos with
-            | '\000' -> ()
-            | c ->
-              Wire.fail "worker %d: bad flat state tag %d" env.rank
-                (Char.code c));
-            Array.unsafe_set cur (base + kk) (Wire.get_i64 b (wpos + 1))
-          done;
-          pos := !pos + entry_bytes;
-          match env.sched with
-          | Engine.Full_scan -> ()
-          | Engine.Active_set ->
-            let h = slot - n_owned in
-            for j = sh.Plan.halo_off.(h) to sh.Plan.halo_off.(h + 1) - 1 do
-              mark (Array.unsafe_get sh.Plan.halo_adj j)
-            done
-        done)
-      env.in_fds;
-    if !n_out > 0 then begin
-      halo_words := !halo_words + !n_out;
-      incr exchange_rounds
-    end;
-    n_out := 0
-  in
-  send_stats env ~round:0 ~active:!n_active ~changed:0 ~unhalted:!unhalted
-    ~halo_words:0;
-  let stop = ref None in
-  while !stop = None do
-    let action, round = recv_decision env in
-    if action = Wire.a_step then begin
-      compute round;
-      let changed = commit () in
-      exchange round;
-      (match env.sched with
-      | Engine.Full_scan -> ()
-      | Engine.Active_set -> advance ());
-      send_stats env ~round ~active:!n_active ~changed ~unhalted:!unhalted
-        ~halo_words:!halo_words
-    end
-    else stop := Some (action = Wire.a_stop_result)
-  done;
-  let states =
-    if !stop = Some true then begin
-      let nb = n_owned * slots * 8 in
-      let b = Bytes.create nb in
-      for i = 0 to (n_owned * slots) - 1 do
-        Wire.put_i64 b (i * 8) cur.(i)
-      done;
-      Some b
-    end
-    else None
-  in
-  send_epilogue env ~halo_words:!halo_words ~exchange_rounds:!exchange_rounds
-    ~states
+let run_flat env ~kernel_for = execute env (flat_codec env ~kernel_for)
 
 (* ---------- process entry ---------- *)
 
@@ -697,7 +529,11 @@ let serve ~rank ~coord ~chans ~(body : env -> unit) =
           {
             rank;
             size = p.size;
-            entry = entry_of_code p.entry;
+            halting =
+              (match p.entry with
+              | 1 -> true
+              | 2 | 3 -> false
+              | c -> Wire.fail "unknown entry code %d" c);
             sched = sched_of_code p.sched;
             slots = p.slots;
             sh;

@@ -228,18 +228,13 @@ let with_knobs ~mode ~shards ~pool f =
       Pool.default_workers := sp)
     f
 
-(* Collect every engine trace of [f] (chaining to any outer sink) to
-   report the measured engine rounds per request. *)
+(* Collect every engine trace of [f] to report the measured engine
+   rounds per request (other subscribers keep receiving them). *)
 let with_trace_collector f =
   let traces = ref [] in
-  let saved = !Engine.trace_sink in
-  Engine.trace_sink :=
-    Some
-      (fun tr ->
-        traces := tr :: !traces;
-        match saved with Some outer -> outer tr | None -> ());
+  let sub = Tl_engine.Driver.subscribe (fun tr -> traces := tr :: !traces) in
   Fun.protect
-    ~finally:(fun () -> Engine.trace_sink := saved)
+    ~finally:(fun () -> Tl_engine.Driver.unsubscribe sub)
     (fun () ->
       let result = f () in
       (result, List.rev !traces))

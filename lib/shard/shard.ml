@@ -1,6 +1,7 @@
 module Engine = Tl_engine.Engine
 module Topology = Tl_engine.Topology
-module Trace = Tl_engine.Trace
+module Frontier = Tl_engine.Frontier
+module Driver = Tl_engine.Driver
 module Pool = Tl_engine.Pool
 module Span = Tl_obs.Span
 module Metrics = Tl_obs.Metrics
@@ -15,13 +16,6 @@ let m_exchange_s = lazy (Metrics.histogram "shard_exchange_seconds")
 let m_halo_words = lazy (Metrics.counter "shard_halo_words_total")
 let m_runs = lazy (Metrics.counter "shard_runs_total")
 
-let record tr ~round ~active ~changed ~unhalted ~t0 =
-  Option.iter
-    (fun t ->
-      Trace.record t
-        { Trace.round; active; changed; unhalted; wall_s = now () -. t0 })
-    tr
-
 (* Per-shard mutable run state. Everything the hot loop touches is local
    to the shard and indexed by local ids, so a shard's working set is
    O(n_owned + halo) — cache-resident where the monolithic stepper's
@@ -34,11 +28,7 @@ type 'state sctx = {
   sh : Plan.shard;
   st : 'state array;  (* n_local: owned states, then ghost copies *)
   nx : 'state array;  (* n_owned scratch, written by the compute phase *)
-  mutable active : int array;  (* active owned locals, [0 .. n_active) *)
-  mutable n_active : int;
-  mutable pending : int array;  (* next round's active set being built *)
-  mutable n_pending : int;
-  dirty : bool array;  (* membership bitmap for [pending] *)
+  fr : Frontier.t;  (* active owned locals *)
   out_dst : int array;
   out_slot : int array;
   out_src : int array;
@@ -55,11 +45,10 @@ let make_ctx sh states =
     sh;
     st;
     nx = Array.sub st 0 n_owned;
-    active = Array.init n_owned (fun l -> l);
-    n_active = n_owned;
-    pending = Array.make (max 1 n_owned) 0;
-    n_pending = 0;
-    dirty = Array.make (max 1 n_owned) false;
+    fr =
+      Frontier.create
+        ~active:(Array.init n_owned (fun l -> l))
+        ~universe:n_owned ~dense:n_owned;
     out_dst = Array.make (max 1 routes) 0;
     out_slot = Array.make (max 1 routes) 0;
     out_src = Array.make (max 1 routes) 0;
@@ -75,12 +64,12 @@ let make_ctx sh states =
    the unsafe accesses in this loop only. *)
 let compute_shard c step round =
   let sh = c.sh in
-  let st = c.st and nx = c.nx and active = c.active in
+  let st = c.st and nx = c.nx and active = c.fr.Frontier.active in
   let off = sh.Plan.off
   and adj = sh.Plan.adj
   and eid = sh.Plan.eid
   and l2g = sh.Plan.l2g in
-  for i = 0 to c.n_active - 1 do
+  for i = 0 to c.fr.Frontier.n_active - 1 do
     let l = Array.unsafe_get active i in
     let acc = ref [] in
     let lo = Array.unsafe_get off l in
@@ -99,26 +88,19 @@ let compute_shard c step round =
          ~neighbors:!acc)
   done
 
-let mark c l =
-  if not (Array.unsafe_get c.dirty l) then begin
-    Array.unsafe_set c.dirty l true;
-    Array.unsafe_set c.pending c.n_pending l;
-    c.n_pending <- c.n_pending + 1
-  end
-
 (* Commit phase for one shard: publish changed states, dirty the owned
    part of the frontier, and append exchange routes for changed boundary
    nodes. Runs on the coordinating domain in ascending shard order. *)
 let commit c ~equal ~sched ~on_change =
   let changed = ref 0 in
   let sh = c.sh in
-  let st = c.st and nx = c.nx and active = c.active in
+  let st = c.st and nx = c.nx and active = c.fr.Frontier.active in
   let off = sh.Plan.off and adj = sh.Plan.adj in
   let xoff = sh.Plan.xoff
   and xshard = sh.Plan.xshard
   and xslot = sh.Plan.xslot in
   let l2g = sh.Plan.l2g and n_owned = sh.Plan.n_owned in
-  for i = 0 to c.n_active - 1 do
+  for i = 0 to c.fr.Frontier.n_active - 1 do
     let l = Array.unsafe_get active i in
     let s' = Array.unsafe_get nx l in
     if not (equal s' (Array.unsafe_get st l)) then begin
@@ -128,10 +110,10 @@ let commit c ~equal ~sched ~on_change =
       (match sched with
       | Engine.Full_scan -> ()
       | Engine.Active_set ->
-        mark c l;
+        Frontier.mark c.fr l;
         for j = Array.unsafe_get off l to Array.unsafe_get off (l + 1) - 1 do
           let u = Array.unsafe_get adj j in
-          if u < n_owned then mark c u
+          if u < n_owned then Frontier.mark c.fr u
         done);
       for x = Array.unsafe_get xoff l to Array.unsafe_get xoff (l + 1) - 1 do
         let k = c.n_out in
@@ -148,7 +130,7 @@ let commit c ~equal ~sched ~on_change =
    library in the DAG). Consulted per halo message only while armed —
    [drop ~round ~src ~dst] returning [true] suppresses the delivery of
    one (src shard -> dst shard) boundary update that round: the target's
-   ghost slot keeps its stale value and its pending set is not grown.
+   ghost slot keeps its stale value and its next active set is not grown.
    Because exchange routes fire only on change, a dropped message is
    {e lost} (the owner re-sends only on its next change) — exactly the
    failure the repair layer exists to heal. Disarmed ([None], default)
@@ -157,7 +139,7 @@ let fault_drop_hook : (round:int -> src:int -> dst:int -> bool) option ref =
   ref None
 
 (* Batched boundary exchange, ascending shard order: drain each shard's
-   out buffer into the target shards' ghost slots, growing their pending
+   out buffer into the target shards' ghost slots, growing their next
    sets through the halo rows. Ghost slots are only written here —
    between the barrier and the next compute phase — so the compute phase
    always reads a consistent frontier. *)
@@ -172,7 +154,7 @@ let deliver ctxs c ~sched b =
     let tsh = ct.sh in
     let h = slot - tsh.Plan.n_owned in
     for j = tsh.Plan.halo_off.(h) to tsh.Plan.halo_off.(h + 1) - 1 do
-      mark ct (Array.unsafe_get tsh.Plan.halo_adj j)
+      Frontier.mark ct.fr (Array.unsafe_get tsh.Plan.halo_adj j)
     done
 
 let exchange ctxs ~sched ~round =
@@ -210,36 +192,8 @@ let exchange ctxs ~sched ~round =
       end
     done
 
-(* Swap in the pending set (Active_set only). Mirrors the engine's
-   dense-frontier rebuild: when the set is a constant fraction of the
-   shard, emit it ascending from the bitmap for compute locality —
-   order never affects computed states. *)
-let advance c =
-  let k = c.n_pending in
-  let n_owned = c.sh.Plan.n_owned in
-  let dirty = c.dirty in
-  if k * 8 >= n_owned then begin
-    let idx = ref 0 in
-    for l = 0 to n_owned - 1 do
-      if Array.unsafe_get dirty l then begin
-        Array.unsafe_set dirty l false;
-        Array.unsafe_set c.pending !idx l;
-        incr idx
-      end
-    done
-  end
-  else
-    for i = 0 to k - 1 do
-      Array.unsafe_set dirty (Array.unsafe_get c.pending i) false
-    done;
-  let old = c.active in
-  c.active <- c.pending;
-  c.pending <- old;
-  c.n_active <- k;
-  c.n_pending <- 0
-
 let total_active ctxs =
-  Array.fold_left (fun acc c -> acc + c.n_active) 0 ctxs
+  Array.fold_left (fun acc c -> acc + c.fr.Frontier.n_active) 0 ctxs
 
 (* One full round: local step (optionally fanned over the pool),
    sequential commit, batched exchange, barrier, active-set advance.
@@ -253,7 +207,7 @@ let exec_round ctxs ~pool ~p_eff ~step ~round ~sched ~equal ~on_change
            compute_shard c step round))
   else
     Array.iter
-      (fun c -> if c.n_active > 0 then compute_shard c step round)
+      (fun c -> if c.fr.Frontier.n_active > 0 then compute_shard c step round)
       ctxs;
   let changed = ref 0 in
   Array.iter
@@ -269,7 +223,7 @@ let exec_round ctxs ~pool ~p_eff ~step ~round ~sched ~equal ~on_change
    else exchange ctxs ~sched ~round);
   (match sched with
   | Engine.Full_scan -> ()
-  | Engine.Active_set -> Array.iter advance ctxs);
+  | Engine.Active_set -> Array.iter (fun c -> Frontier.advance c.fr) ctxs);
   !changed
 
 let writeback ctxs states =
@@ -343,139 +297,34 @@ let prepare ~shards ~topo ~init =
   if p_eff > 1 then Pool.prewarm pool;
   (plan, plan_hit, states, ctxs, pool, p_eff)
 
-(* ---------- the three backend entry points ----------
+(* ---------- the backend entry point ----------
 
-   Control flow, trace records and failure messages deliberately mirror
-   the engine's Seq stepper line by line — the differential suite checks
-   all of it bit-for-bit. *)
+   One round is local step + commit + exchange + advance; termination,
+   the fault gate, trace records and failures come from the driver. *)
 
-let sb_run :
-    type a.
-    shards:int ->
-    sched:Engine.scheduling ->
-    equal:(a -> a -> bool) ->
-    trace:Trace.t option ->
-    topo:Topology.t ->
-    init:(int -> a) ->
-    step:a Engine.step_fn ->
-    halted:(a -> bool) ->
-    max_rounds:int ->
-    a Engine.outcome =
- fun ~shards ~sched ~equal ~trace:tr ~topo ~init ~step ~halted ~max_rounds ->
+let sb_run ~count:shards ~sched ~equal ~halted ~trace:tr ~topo ~init ~step
+    term =
   let plan, plan_hit, states, ctxs, pool, p_eff =
     prepare ~shards ~topo ~init
   in
-  let halted_f = Array.make topo.Topology.n_base true in
-  let n_unhalted = ref 0 in
-  Array.iter
-    (fun v ->
-      let h = halted states.(v) in
-      halted_f.(v) <- h;
-      if not h then incr n_unhalted)
-    topo.Topology.present_nodes;
-  let rounds = ref 0 in
-  let stalled = ref false in
-  let exch_acc = ref 0. in
-  Fun.protect
-    ~finally:(fun () ->
-      emit_spans plan ctxs plan_hit;
-      emit_metrics plan ctxs ~exch_s:!exch_acc)
-    (fun () ->
-      let interrupted = ref false in
-      while
-        !n_unhalted > 0 && !rounds < max_rounds && (not !stalled)
-        && not !interrupted
-      do
-        let active_now = total_active ctxs in
-        if active_now = 0 then stalled := true
-        else begin
-          let t0 = now () in
-          incr rounds;
-          let changed =
-            exec_round ctxs ~pool ~p_eff ~step ~round:!rounds ~sched ~equal
-              ~exch_acc
-              ~on_change:(fun v s ->
-                let h = halted s in
-                if h <> halted_f.(v) then begin
-                  halted_f.(v) <- h;
-                  if h then decr n_unhalted else incr n_unhalted
-                end)
-          in
-          record tr ~round:!rounds ~active:active_now ~changed
-            ~unhalted:!n_unhalted ~t0;
-          if not (Engine.gate_open ~round:!rounds) then interrupted := true
+  let st = Driver.stats ~active:(total_active ctxs) ~unhalted:0 in
+  let on_change =
+    match halted with
+    | None -> fun _ _ -> ()
+    | Some halted ->
+      let halted_f = Array.make topo.Topology.n_base true in
+      Array.iter
+        (fun v ->
+          let h = halted states.(v) in
+          halted_f.(v) <- h;
+          if not h then st.unhalted <- st.unhalted + 1)
+        topo.Topology.present_nodes;
+      fun v s ->
+        let h = halted s in
+        if h <> halted_f.(v) then begin
+          halted_f.(v) <- h;
+          st.unhalted <- (st.unhalted + if h then -1 else 1)
         end
-      done;
-      if (not !interrupted) && !n_unhalted > 0 then
-        failwith
-          (Printf.sprintf "Engine.run: max_rounds=%d exceeded" max_rounds);
-      writeback ctxs states;
-      { Engine.states; rounds = !rounds })
-
-let sb_run_until_stable :
-    type a.
-    shards:int ->
-    sched:Engine.scheduling ->
-    equal:(a -> a -> bool) ->
-    trace:Trace.t option ->
-    topo:Topology.t ->
-    init:(int -> a) ->
-    step:a Engine.step_fn ->
-    max_rounds:int ->
-    a Engine.outcome =
- fun ~shards ~sched ~equal ~trace:tr ~topo ~init ~step ~max_rounds ->
-  let plan, plan_hit, states, ctxs, pool, p_eff =
-    prepare ~shards ~topo ~init
-  in
-  let rounds = ref 0 in
-  let stable = ref false in
-  let exch_acc = ref 0. in
-  Fun.protect
-    ~finally:(fun () ->
-      emit_spans plan ctxs plan_hit;
-      emit_metrics plan ctxs ~exch_s:!exch_acc)
-    (fun () ->
-      let interrupted = ref false in
-      while (not !interrupted) && (not !stable) && !rounds < max_rounds do
-        let active_now = total_active ctxs in
-        if active_now = 0 then stable := true
-        else begin
-          let t0 = now () in
-          let changed =
-            exec_round ctxs ~pool ~p_eff ~step ~round:(!rounds + 1) ~sched
-              ~equal ~exch_acc
-              ~on_change:(fun _ _ -> ())
-          in
-          record tr ~round:(!rounds + 1) ~active:active_now ~changed
-            ~unhalted:(-1) ~t0;
-          if changed > 0 then begin
-            incr rounds;
-            if not (Engine.gate_open ~round:!rounds) then interrupted := true
-          end
-          else stable := true
-        end
-      done;
-      if (not !interrupted) && not !stable then
-        failwith
-          (Printf.sprintf "Engine.run_until_stable: max_rounds=%d exceeded"
-             max_rounds);
-      writeback ctxs states;
-      { Engine.states; rounds = !rounds })
-
-let sb_run_rounds :
-    type a.
-    shards:int ->
-    sched:Engine.scheduling ->
-    equal:(a -> a -> bool) ->
-    trace:Trace.t option ->
-    topo:Topology.t ->
-    init:(int -> a) ->
-    step:a Engine.step_fn ->
-    rounds:int ->
-    a Engine.outcome =
- fun ~shards ~sched ~equal ~trace:tr ~topo ~init ~step ~rounds:total ->
-  let plan, plan_hit, states, ctxs, pool, p_eff =
-    prepare ~shards ~topo ~init
   in
   let exch_acc = ref 0. in
   Fun.protect
@@ -483,30 +332,17 @@ let sb_run_rounds :
       emit_spans plan ctxs plan_hit;
       emit_metrics plan ctxs ~exch_s:!exch_acc)
     (fun () ->
-      let executed = ref 0 in
-      let r = ref 1 in
-      let interrupted = ref false in
-      while (not !interrupted) && !r <= total do
-        let active_now = total_active ctxs in
-        if active_now > 0 then begin
-          let t0 = now () in
-          let changed =
-            exec_round ctxs ~pool ~p_eff ~step ~round:!r ~sched ~equal
-              ~exch_acc
-              ~on_change:(fun _ _ -> ())
-          in
-          record tr ~round:!r ~active:active_now ~changed ~unhalted:(-1) ~t0;
-          executed := !r;
-          if not (Engine.gate_open ~round:!r) then interrupted := true
-        end;
-        incr r
-      done;
+      let rounds =
+        Driver.loop tr term st (fun round st ->
+            st.changed <-
+              exec_round ctxs ~pool ~p_eff ~step ~round ~sched ~equal
+                ~on_change ~exch_acc;
+            st.active <- total_active ctxs)
+      in
       writeback ctxs states;
-      { Engine.states; rounds = (if !interrupted then !executed else total) })
+      { Engine.states; rounds })
 
-let () =
-  Engine.shard_backend :=
-    Some { Engine.sb_run; sb_run_until_stable; sb_run_rounds }
+let () = Engine.shard_backend := Some { Engine.run = sb_run }
 
 let register () = ()
 

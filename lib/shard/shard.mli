@@ -44,8 +44,14 @@
     [shard:halo_words], [shard:imbalance] and [shard:exchange_rounds]
     counters, plus aggregate counters on the current span; they are
     emitted even when the run raises, and merge into the run report like
-    any other span. Engine traces work unchanged — the engine owns trace
-    creation and delivery, this backend only records the rounds.
+    any other span.
+
+    {2 The round driver}
+
+    The backend supplies one [round] (local step, commit, exchange,
+    advance) and its totals to {!Tl_engine.Driver.loop}; termination,
+    the fault gate, trace records and failures are the driver's, shared
+    with every other backend.
 
     Linking [tl_shard] installs the backend into
     {!Tl_engine.Engine.shard_backend} (see {!register});
@@ -68,10 +74,9 @@ val fault_drop_hook : (round:int -> src:int -> dst:int -> bool) option ref
     next changes — the repair layer's job to heal. Disarmed ([None],
     the default) the exchange runs the original unchecked drain loop;
     the hook costs one ref match per round. [halo_words] counts only
-    delivered messages. The shard drivers also consult
-    {!Tl_engine.Engine.gate_open} per committed round, so an armed
-    fault gate interrupts shard runs at round boundaries exactly like
-    the in-process steppers. *)
+    delivered messages. Shard runs are on the round driver, so an armed
+    {!Tl_engine.Engine.fault_gate} interrupts them at round boundaries
+    exactly like every other backend. *)
 
 val run :
   ?shards:int ->

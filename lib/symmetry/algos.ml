@@ -12,7 +12,9 @@ let proper_coloring sg ~ids =
   (* One compiled snapshot serves the whole reduction chain: Linial runs
      on the engine, and the greedy reductions read adjacency through the
      CSR rows instead of re-deriving it from the semi-graph every call. *)
+  let t0 = Unix.gettimeofday () in
   let topo, cache_hit = Tl_engine.Topology.compile_cached_stat sg in
+  let compile_s = Unix.gettimeofday () -. t0 in
   Tl_obs.Span.add_counter
     (if cache_hit then "topo:cache_hit" else "topo:cache_miss")
     1;
@@ -27,7 +29,8 @@ let proper_coloring sg ~ids =
   end
   else begin
     let palette1, linial_rounds =
-      Linial.reduce_topo ~topo ~nodes ~colors ~palette:palette0 ~max_degree
+      Linial.reduce_topo_with ~compile_s ~compile_cached:cache_hit ~topo
+        ~nodes ~colors ~palette:palette0 ~max_degree
     in
     let palette2, kw_rounds =
       Reduce.kw_to_delta_plus_one ~neighbors ~nodes ~colors ~palette:palette1

@@ -94,7 +94,8 @@ let schedule ~palette ~max_degree =
   in
   Array.of_list (go palette [])
 
-let reduce_topo ~topo ~nodes ~colors ~palette ~max_degree =
+let reduce_topo_with ~compile_s ~compile_cached ~topo ~nodes ~colors ~palette
+    ~max_degree =
   let sched = schedule ~palette ~max_degree in
   let n_rounds = Array.length sched in
   if n_rounds = 0 then (palette, 0)
@@ -124,8 +125,8 @@ let reduce_topo ~topo ~nodes ~colors ~palette ~max_degree =
       else None
     in
     let o =
-      Tl_engine.Engine.run_rounds ?trace ~sched:Tl_engine.Engine.Full_scan
-        ~topo
+      Tl_engine.Engine.run_rounds ?trace ~label:"linial.color"
+        ~sched:Tl_engine.Engine.Full_scan ~compile_s ~compile_cached ~topo
         ~init:(fun v -> colors.(v))
         ~step ~rounds:n_rounds ()
     in
@@ -134,6 +135,9 @@ let reduce_topo ~topo ~nodes ~colors ~palette ~max_degree =
     let q_last, _ = sched.(n_rounds - 1) in
     (q_last * q_last, n_rounds)
   end
+
+let reduce_topo =
+  reduce_topo_with ~compile_s:0. ~compile_cached:false
 
 let reduce ~neighbors ~nodes ~colors ~palette ~max_degree =
   let rounds = ref 0 in

@@ -53,4 +53,17 @@ val reduce_topo :
     ({!Tl_engine.Engine.run_rounds}, full-scan scheduling since the
     schedule is round-number-driven). Bit-identical results and round
     counts to {!reduce} on the same communication graph; [nodes] must be
-    the present nodes of [topo]. *)
+    the present nodes of [topo]. The run is traced as ["linial.color"]
+    with [compile_s = 0.] and [compile_cached = false]. *)
+
+val reduce_topo_with :
+  compile_s:float ->
+  compile_cached:bool ->
+  topo:Tl_engine.Topology.t ->
+  nodes:int list ->
+  colors:int array ->
+  palette:int ->
+  max_degree:int ->
+  int * int
+(** {!reduce_topo} for a caller that compiled [topo] itself: the compile
+    wall-clock and cache-hit flag go on the run's trace. *)

@@ -8,6 +8,7 @@ module Tree = Tl_graph.Tree
 module Semi_graph = Tl_graph.Semi_graph
 module Topology = Tl_engine.Topology
 module Engine = Tl_engine.Engine
+module Driver = Tl_engine.Driver
 module Trace = Tl_engine.Trace
 module Runtime = Tl_local.Runtime
 module Round_cost = Tl_local.Round_cost
@@ -356,10 +357,9 @@ let test_trace_metrics () =
 
 let test_trace_sink () =
   let got = ref [] in
-  let saved = !Engine.trace_sink in
-  Engine.trace_sink := Some (fun t -> got := t :: !got);
+  let sub = Driver.subscribe (fun t -> got := t :: !got) in
   Fun.protect
-    ~finally:(fun () -> Engine.trace_sink := saved)
+    ~finally:(fun () -> Driver.unsubscribe sub)
     (fun () ->
       let sg = Semi_graph.of_graph (Gen.path 12) in
       ignore
@@ -799,6 +799,180 @@ let test_flat_zero_alloc_per_step () =
     (Printf.sprintf "per-run minor words bounded (got %.0f)" delta)
     true (delta < 2048.)
 
+(* An armed fault gate interrupts flat runs exactly like boxed ones: the
+   run stops at the gate's round with the states, round count and trace
+   rows of a boxed Seq run interrupted at the same round. *)
+let with_gate_closing_at r f =
+  Driver.fault_gate := Some (fun ~round -> round < r);
+  Fun.protect ~finally:(fun () -> Driver.fault_gate := None) f
+
+let test_flat_fault_gate () =
+  let g = Gen.random_tree ~n:400 ~seed:12 in
+  let n = Graph.n_nodes g in
+  let ids = Ids.permuted ~n ~seed:13 in
+  let topo = Topology.compile (Semi_graph.of_graph g) in
+  let mr = n + 1 in
+  let interrupted ~name ~full_rounds boxed flat =
+    let r = max 1 (full_rounds / 2) in
+    check (name ^ ": uninterrupted run is longer than the gate") true
+      (full_rounds > r);
+    with_gate_closing_at r (fun () ->
+        let btr = Trace.create () and ftr = Trace.create () in
+        let (b_rounds, b_states) = boxed btr in
+        let (f_rounds, f_states) = flat ftr in
+        check_int (name ^ ": boxed stops at the gate") r b_rounds;
+        check_int (name ^ ": flat stops at the gate") r f_rounds;
+        check (name ^ ": states equal") true (f_states = b_states);
+        check (name ^ ": trace rows equal") true
+          (record_sig ftr = record_sig btr))
+  in
+  let flood_boxed ~halting tr =
+    let o =
+      if halting then
+        Engine.run ~mode:Engine.Seq ~trace:tr ~topo
+          ~init:(fun v -> v = 0)
+          ~step:flood_step ~halted:Fun.id ~max_rounds:mr ()
+      else
+        Engine.run_until_stable ~mode:Engine.Seq ~trace:tr ~topo
+          ~init:(fun v -> v = 0)
+          ~step:flood_step ~equal:Bool.equal ~max_rounds:mr ()
+    in
+    (o.Engine.rounds, Array.map Bool.to_int o.Engine.states)
+  in
+  let flood_flat ~halting tr =
+    let kernel = Flat.Kernels.flood () in
+    let o =
+      if halting then Flat.run ~trace:tr ~topo ~kernel ~max_rounds:mr ()
+      else Flat.run_until_stable ~trace:tr ~topo ~kernel ~max_rounds:mr ()
+    in
+    (o.Flat.rounds, Flat.column o ~slot:0)
+  in
+  let mis_boxed ~halting tr =
+    let o =
+      if halting then
+        Engine.run ~mode:Engine.Seq ~trace:tr ~topo
+          ~init:(fun _ -> 0)
+          ~step:(mis_step ids)
+          ~halted:(fun s -> s <> 0)
+          ~max_rounds:mr ()
+      else
+        Engine.run_until_stable ~mode:Engine.Seq ~trace:tr ~topo
+          ~init:(fun _ -> 0)
+          ~step:(mis_step ids) ~equal:Int.equal ~max_rounds:mr ()
+    in
+    (o.Engine.rounds, o.Engine.states)
+  in
+  let mis_flat ~halting tr =
+    let kernel = Flat.Kernels.mis_local_max ~ids in
+    let o =
+      if halting then Flat.run ~trace:tr ~topo ~kernel ~max_rounds:mr ()
+      else Flat.run_until_stable ~trace:tr ~topo ~kernel ~max_rounds:mr ()
+    in
+    (o.Flat.rounds, Flat.column o ~slot:0)
+  in
+  List.iter
+    (fun halting ->
+      let entry = if halting then "run" else "run_until_stable" in
+      let full f = fst (f ~halting (Trace.create ())) in
+      interrupted ~name:("flood " ^ entry) ~full_rounds:(full flood_boxed)
+        (flood_boxed ~halting) (flood_flat ~halting);
+      interrupted ~name:("mis " ^ entry) ~full_rounds:(full mis_boxed)
+        (mis_boxed ~halting) (mis_flat ~halting))
+    [ true; false ]
+
+(* ---------- the round driver against a scripted backend ---------- *)
+
+(* A fake backend whose round [r] reports the [r]-th scripted
+   (active, changed, unhalted) triple; [calls] counts executed rounds. *)
+let scripted script =
+  let calls = ref 0 in
+  let round r (st : Driver.stats) =
+    incr calls;
+    let active, changed, unhalted = script.(r - 1) in
+    st.active <- active;
+    st.changed <- changed;
+    st.unhalted <- unhalted
+  in
+  (calls, round)
+
+let test_driver_stall_fails () =
+  let calls, round = scripted [||] in
+  let st = Driver.stats ~active:0 ~unhalted:3 in
+  Alcotest.(check (option string))
+    "stall raises the max_rounds failure"
+    (Some "Engine.run: max_rounds=10 exceeded")
+    (failure_message (fun () ->
+         Driver.loop None (Driver.Until_halted 10) st round));
+  check_int "no round executed" 0 !calls;
+  let _, round = scripted (Array.make 4 (5, 5, 5)) in
+  Alcotest.(check (option string))
+    "until_stable exhaustion message"
+    (Some "Engine.run_until_stable: max_rounds=4 exceeded")
+    (failure_message (fun () ->
+         Driver.loop None (Driver.Until_stable 4)
+           (Driver.stats ~active:5 ~unhalted:0)
+           round))
+
+let test_driver_gate_interrupts () =
+  List.iter
+    (fun term ->
+      let calls, round = scripted (Array.make 50 (5, 5, 5)) in
+      let rounds =
+        with_gate_closing_at 3 (fun () ->
+            Driver.loop None term (Driver.stats ~active:5 ~unhalted:5) round)
+      in
+      check_int "gate closing at 3 ends the run at 3" 3 rounds;
+      check_int "three rounds executed" 3 !calls)
+    [ Driver.Until_halted 10; Driver.Until_stable 10; Driver.Fixed 10 ]
+
+let test_driver_fixed_skips_empty () =
+  let calls, round = scripted [| (4, 4, -1); (0, 1, -1) |] in
+  let tr = Trace.create () in
+  let rounds =
+    Driver.loop (Some tr) (Driver.Fixed 10)
+      (Driver.stats ~active:6 ~unhalted:0)
+      round
+  in
+  check_int "fixed reports every scheduled round" 10 rounds;
+  check_int "rounds after the frontier drained are skipped" 2 !calls;
+  check_int "one trace row per executed round" 2
+    (List.length (Trace.records tr))
+
+let test_driver_stable_counts_changes () =
+  let calls, round =
+    scripted [| (3, 3, 0); (2, 2, 0); (1, 1, 0); (1, 0, 0) |]
+  in
+  let tr = Trace.create () in
+  let rounds =
+    Driver.loop (Some tr) (Driver.Until_stable 100)
+      (Driver.stats ~active:9 ~unhalted:0)
+      round
+  in
+  check_int "only changing rounds count" 3 rounds;
+  check_int "the detection round executes" 4 !calls;
+  Alcotest.(check (list (pair int (pair int int))))
+    "rows: round, active before the round, changed"
+    [ (1, (9, 3)); (2, (3, 2)); (3, (2, 1)); (4, (1, 0)) ]
+    (List.map
+       (fun r -> (r.Trace.round, (r.Trace.active, r.Trace.changed)))
+       (Trace.records tr));
+  check "unhalted untracked outside Until_halted" true
+    (List.for_all (fun r -> r.Trace.unhalted = -1) (Trace.records tr))
+
+let test_driver_one_row_per_round () =
+  let calls, round = scripted [| (4, 2, 3); (4, 2, 1); (0, 1, 0) |] in
+  let tr = Trace.create () in
+  let rounds =
+    Driver.loop (Some tr) (Driver.Until_halted 100)
+      (Driver.stats ~active:7 ~unhalted:5)
+      round
+  in
+  check_int "halts after three rounds" 3 rounds;
+  check_int "one row per executed round" !calls
+    (List.length (Trace.records tr));
+  check "rows carry the scripted totals" true
+    (record_sig tr = [ (1, 7, 2, 3); (2, 4, 2, 1); (3, 4, 1, 0) ])
+
 (* ---------- compile cache ---------- *)
 
 let test_topology_cache_hit_and_invalidation () =
@@ -959,7 +1133,22 @@ let () =
               test_flat_failure_parity;
             Alcotest.test_case "zero minor-heap words per step" `Quick
               test_flat_zero_alloc_per_step;
+            Alcotest.test_case "fault gate interrupts like boxed Seq" `Quick
+              test_flat_fault_gate;
           ] );
+      ( "driver",
+        [
+          Alcotest.test_case "stall and exhaustion messages" `Quick
+            test_driver_stall_fails;
+          Alcotest.test_case "gate interrupts every termination" `Quick
+            test_driver_gate_interrupts;
+          Alcotest.test_case "fixed skips an empty frontier" `Quick
+            test_driver_fixed_skips_empty;
+          Alcotest.test_case "until_stable counts changing rounds" `Quick
+            test_driver_stable_counts_changes;
+          Alcotest.test_case "one trace row per executed round" `Quick
+            test_driver_one_row_per_round;
+        ] );
       ( "differential",
         qsuite
           [

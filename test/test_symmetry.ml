@@ -314,6 +314,37 @@ let prop_linial_step_keeps_proper =
       in
       Props.is_proper_coloring g colors)
 
+(* The Linial run inside proper_coloring reports the compile that
+   proper_coloring itself did: a miss with real time on a fresh view, a
+   cache hit on the repeat. *)
+let test_linial_trace_compile () =
+  let g = Gen.random_tree ~n:3000 ~seed:8 in
+  let sg = Semi_graph.of_graph g in
+  let ids = Ids.permuted ~n:3000 ~seed:9 in
+  let linial_traces f =
+    let got = ref [] in
+    let sub = Tl_engine.Driver.subscribe (fun t -> got := t :: !got) in
+    Fun.protect ~finally:(fun () -> Tl_engine.Driver.unsubscribe sub) f;
+    List.filter (fun t -> Tl_engine.Trace.label t = "linial.color") !got
+  in
+  let compile_of f =
+    match linial_traces f with
+    | [ t ] ->
+      ( (Tl_engine.Trace.metrics t).Tl_engine.Trace.compile_s,
+        Tl_engine.Trace.compile_cached t )
+    | ts ->
+      Alcotest.failf "expected one linial.color trace, got %d" (List.length ts)
+  in
+  let s1, cached1 =
+    compile_of (fun () -> ignore (Algos.proper_coloring sg ~ids))
+  in
+  check "fresh view: compile not cached" false cached1;
+  check (Printf.sprintf "fresh view: compile_s > 0 (got %g)" s1) true (s1 > 0.);
+  let _, cached2 =
+    compile_of (fun () -> ignore (Algos.proper_coloring sg ~ids))
+  in
+  check "repeat: compile cached" true cached2
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -354,6 +385,8 @@ let () =
           Alcotest.test_case "semi-graphs with rank-1 edges" `Quick test_algos_on_semi_graph_with_rank1;
           Alcotest.test_case "line structure" `Quick test_line_structure;
           Alcotest.test_case "truly local rounds" `Quick test_rounds_depend_on_degree_not_n;
+          Alcotest.test_case "linial trace carries the compile" `Quick
+            test_linial_trace_compile;
         ] );
       ("properties", qcheck_tests);
     ]
