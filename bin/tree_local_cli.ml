@@ -26,11 +26,13 @@ module Report = Tl_obs.Report
 (* ---------- shared arguments ---------- *)
 
 let family_arg =
-  let doc =
-    "Instance family: random-tree, balanced-tree, path, star, caterpillar, \
-     power-law, forest-union, planar, grid."
+  let doc = "Instance family: " ^ String.concat ", " Gen.families ^ "." in
+  let parse s =
+    if List.mem s Gen.families then Ok s
+    else Error (`Msg (Printf.sprintf "unknown family %S" s))
   in
-  Arg.(value & opt string "random-tree" & info [ "family" ] ~docv:"FAMILY" ~doc)
+  let family = Arg.conv (parse, Format.pp_print_string) in
+  Arg.(value & opt family "random-tree" & info [ "family" ] ~docv:"FAMILY" ~doc)
 
 let n_arg =
   Arg.(value & opt int 1000 & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Number of nodes.")
@@ -50,9 +52,8 @@ let delta_arg =
 
 (* ---------- engine selection and tracing ---------- *)
 
-(* Kept as a (validated) string until [solve] runs: "shard" without a
-   count resolves against Engine.default_shards, which --shards sets
-   after argument parsing. *)
+(* --engine, --shards and --pool are validated together, by the daemon's
+   own Protocol.resolve_knobs (a bare "shard"/"proc" takes --shards). *)
 let engine_arg =
   let doc =
     "Execution engine: naive (the legacy full-scan reference stepper), \
@@ -65,21 +66,7 @@ let engine_arg =
      OCaml forbids forking after domains exist). All modes are \
      deterministic and bit-identical."
   in
-  let mode =
-    let parse s =
-      match Engine.mode_of_string s with
-      | _ -> Ok s
-      | exception Invalid_argument _ ->
-        Error
-          (`Msg
-            (Printf.sprintf
-               "invalid engine %S (expected naive, seq, par:N, shard, \
-                shard:S, proc or proc:S)"
-               s))
-    in
-    Arg.conv (parse, Format.pp_print_string)
-  in
-  Arg.(value & opt mode "seq" & info [ "engine" ] ~docv:"MODE" ~doc)
+  Arg.(value & opt string "seq" & info [ "engine" ] ~docv:"MODE" ~doc)
 
 let shards_arg =
   let doc =
@@ -89,17 +76,7 @@ let shards_arg =
      exchange / barrier. Results are bit-identical for any shard count; \
      composes with $(b,--pool) (shards fan over the domain pool)."
   in
-  let shards =
-    let parse s =
-      match int_of_string_opt s with
-      | Some c when c >= 1 -> Ok c
-      | _ ->
-        Error
-          (`Msg (Printf.sprintf "invalid shard count %S (expected S >= 1)" s))
-    in
-    Arg.conv (parse, Format.pp_print_int)
-  in
-  Arg.(value & opt shards 4 & info [ "shards" ] ~docv:"S" ~doc)
+  Arg.(value & opt int 4 & info [ "shards" ] ~docv:"S" ~doc)
 
 let pool_arg =
   let doc =
@@ -108,15 +85,7 @@ let pool_arg =
      OCaml domains (deterministic fixed chunking; results are \
      bit-identical to --pool 1)."
   in
-  let workers =
-    let parse s =
-      match int_of_string_opt s with
-      | Some p when p >= 1 -> Ok p
-      | _ -> Error (`Msg (Printf.sprintf "invalid pool size %S (expected N >= 1)" s))
-    in
-    Arg.conv (parse, Format.pp_print_int)
-  in
-  Arg.(value & opt workers 1 & info [ "pool" ] ~docv:"N" ~doc)
+  Arg.(value & opt int 1 & info [ "pool" ] ~docv:"N" ~doc)
 
 let trace_arg =
   let doc =
@@ -159,8 +128,7 @@ let at_exit_flush name f =
           !exit_flushers)
   end
 
-let setup_engine mode trace_file =
-  Engine.default_mode := mode;
+let setup_trace trace_file =
   match trace_file with
   | None -> ()
   | Some file ->
@@ -258,26 +226,10 @@ let print_trace_summary () =
         else if i = 8 then Printf.printf "  ...\n")
       ts
 
-let build_instance family n seed a delta =
-  match family with
-  | "random-tree" -> Gen.random_tree ~n ~seed
-  | "balanced-tree" -> Gen.balanced_regular_tree ~delta ~n
-  | "path" -> Gen.path n
-  | "star" -> Gen.star n
-  | "caterpillar" -> Gen.caterpillar ~spine:(max 1 (n / 4)) ~legs:3
-  | "power-law" -> Gen.power_law_tree ~n ~seed
-  | "forest-union" -> Gen.forest_union ~n ~arboricity:a ~seed
-  | "planar" ->
-    Gen.triangulated_grid (max 2 (int_of_float (Float.sqrt (float_of_int n))))
-  | "grid" ->
-    let side = max 1 (int_of_float (Float.sqrt (float_of_int n))) in
-    Gen.grid side side
-  | other -> failwith (Printf.sprintf "unknown family %s" other)
-
 (* ---------- generate ---------- *)
 
 let generate family n seed a delta =
-  let g = build_instance family n seed a delta in
+  let g = Gen.of_family family ~n ~seed ~a ~delta in
   let lo, hi = Props.arboricity_interval g in
   Printf.printf "family:      %s\n" family;
   Printf.printf "nodes:       %d\n" (Graph.n_nodes g);
@@ -314,17 +266,6 @@ let k_arg =
     value & opt (some int) None
     & info [ "k"; "param-k" ] ~docv:"K" ~doc:"Decomposition parameter (default g(n)).")
 
-let report_raw name problem g labeling cost =
-  Printf.printf "problem:     %s\n" name;
-  Printf.printf "rounds:      %d\n" (Round_cost.total cost);
-  List.iter
-    (fun (phase, rounds) -> Printf.printf "  %-24s %6d\n" phase rounds)
-    (Round_cost.phases cost);
-  print_trace_summary ();
-  let valid = Tl_problems.Nec.is_valid problem g labeling in
-  Printf.printf "valid:       %b\n" valid;
-  if not valid then exit 1
-
 let report name (r : _ Pipeline.report) =
   Printf.printf "problem:     %s\n" name;
   Printf.printf "rounds:      %d\n" r.Pipeline.total_rounds;
@@ -343,87 +284,49 @@ let report name (r : _ Pipeline.report) =
     exit 1
   end
 
+(* Every check that needs no instance runs before any work starts, with
+   the daemon's own admission code — the (problem, method) row and the
+   engine knobs — so the CLI and the daemon reject the same requests. *)
 let solve problem method_ family n seed a delta k engine shards pool trace
     profile report_fmt =
-  Engine.default_shards := shards;
-  let engine = Engine.mode_of_string engine in
-  setup_engine engine trace;
-  Tl_engine.Pool.default_workers := pool;
-  setup_profile profile report_fmt;
-  Span.set_attr "problem" problem;
-  Span.set_attr "method" method_;
-  Span.set_attr "family" family;
-  Span.set_attr "n" (string_of_int n);
-  Span.set_attr "seed" (string_of_int seed);
-  Span.set_attr "engine" (Engine.mode_to_string engine);
-  Span.set_attr "shards" (string_of_int shards);
-  Span.set_attr "pool" (string_of_int pool);
-  let g = Span.with_span "instance" (fun () -> build_instance family n seed a delta) in
-  let ids = Ids.permuted ~n:(Graph.n_nodes g) ~seed:(seed + 1) in
-  let must_tree name =
-    if not (Props.is_tree g) then
-      failwith (name ^ " via Theorem 12 needs a tree instance")
-  in
-  match (problem, method_) with
-  | "mis", "transform" ->
-    must_tree "mis";
-    report "MIS (Theorem 12)" (Pipeline.mis_on_tree ?k ~tree:g ~ids ())
-  | "coloring", "transform" ->
-    must_tree "coloring";
-    report "(deg+1)-coloring (Theorem 12)"
-      (Pipeline.coloring_on_tree ?k ~tree:g ~ids ())
-  | "matching", "transform" ->
-    report "maximal matching (Theorem 15)"
-      (Pipeline.matching_on_graph ?k ~graph:g ~a ~ids ())
-  | "edge-coloring", "transform" ->
-    report "(edge-degree+1)-edge coloring (Theorem 15)"
-      (Pipeline.edge_coloring_on_graph ?k ~graph:g ~a ~ids ())
-  | "mis", "direct" -> report "MIS (direct)" (Pipeline.mis_direct ~graph:g ~ids)
-  | "coloring", "direct" ->
-    report "(deg+1)-coloring (direct)" (Pipeline.coloring_direct ~graph:g ~ids)
-  | "matching", "direct" ->
-    report "maximal matching (direct)" (Pipeline.matching_direct ~graph:g ~ids)
-  | "edge-coloring", "direct" ->
-    report "(edge-degree+1)-edge coloring (direct)"
-      (Pipeline.edge_coloring_direct ~graph:g ~ids)
-  | "matching", "baseline" ->
-    must_tree "baseline matching";
-    let labeling, cost = Tl_core.Baseline.matching_on_tree ~tree:g ~ids in
-    report_raw "maximal matching (BE13-style baseline)"
-      Tl_problems.Matching.problem g labeling cost
-  | "edge-coloring", "baseline" ->
-    must_tree "baseline edge-coloring";
-    let labeling, cost = Tl_core.Baseline.edge_coloring_on_tree ~tree:g ~ids in
-    report_raw "(edge-degree+1)-edge coloring (BE13-style baseline)"
-      Tl_problems.Edge_coloring.problem g labeling cost
-  | p, m -> failwith (Printf.sprintf "unknown problem/method %s/%s" p m)
-
-(* Cross-argument validation the per-argument convs cannot express
-   (shard count vs instance size, shard backend availability, pool
-   bounds) — shared with the serving daemon's admission check so the
-   CLI and the daemon reject exactly the same knob combinations. *)
-let solve_checked problem method_ family n seed a delta k engine shards pool
-    trace profile report_fmt =
-  match Tl_serve.Protocol.resolve_knobs ~engine ~shards ~pool ~n with
-  | Error msg -> `Error (false, msg)
-  | Ok _mode ->
-    `Ok
-      (solve problem method_ family n seed a delta k engine shards pool trace
-         profile report_fmt)
+  match
+    ( Pipeline.lookup ~problem ~method_,
+      Tl_serve.Protocol.resolve_knobs ~engine ~shards ~pool ~n )
+  with
+  | Error msg, _ | _, Error msg -> `Error (false, msg)
+  | Ok row, Ok mode ->
+    setup_trace trace;
+    setup_profile profile report_fmt;
+    Span.set_attr "problem" problem;
+    Span.set_attr "method" method_;
+    Span.set_attr "family" family;
+    Span.set_attr "n" (string_of_int n);
+    Span.set_attr "seed" (string_of_int seed);
+    Span.set_attr "engine" (Engine.mode_to_string mode);
+    Span.set_attr "shards" (string_of_int shards);
+    Span.set_attr "pool" (string_of_int pool);
+    Engine.with_knobs ~mode ~workers:pool @@ fun () ->
+    let g =
+      Span.with_span "instance" (fun () -> Gen.of_family family ~n ~seed ~a ~delta)
+    in
+    let ids = Ids.permuted ~n:(Graph.n_nodes g) ~seed:(seed + 1) in
+    (match Pipeline.solve row ?k ~graph:g ~a ~ids () with
+    | Ok (Pipeline.Solved r) -> `Ok (report row.name r)
+    | Error msg -> `Error (false, msg))
 
 let solve_cmd =
   let doc = "Solve a problem with the paper's transformation." in
   Cmd.v (Cmd.info "solve" ~doc)
     Term.(
       ret
-        (const solve_checked $ problem_arg $ method_arg $ family_arg $ n_arg
+        (const solve $ problem_arg $ method_arg $ family_arg $ n_arg
        $ seed_arg $ a_arg $ delta_arg $ k_arg $ engine_arg $ shards_arg
        $ pool_arg $ trace_arg $ profile_arg $ report_fmt_arg))
 
 (* ---------- decompose ---------- *)
 
 let decompose which family n seed a delta k =
-  let g = build_instance family n seed a delta in
+  let g = Gen.of_family family ~n ~seed ~a ~delta in
   let real_n = Graph.n_nodes g in
   let ids = Ids.permuted ~n:real_n ~seed:(seed + 1) in
   match which with
@@ -485,56 +388,58 @@ let faults_arg =
 
 let chaos_problem_arg =
   let doc = "Chaos workload: flood or mis." in
-  Arg.(value & opt string "flood" & info [ "problem" ] ~docv:"P" ~doc)
+  Arg.(
+    value
+    & opt (enum [ ("flood", `Flood); ("mis", `Mis) ]) `Flood
+    & info [ "problem" ] ~docv:"P" ~doc)
 
+(* The same knob admission as [solve], plus the fault schedule. *)
 let chaos problem family n seed a delta engine shards pool faults trace
     profile report_fmt =
   let module Chaos = Tl_fault.Chaos in
   let module Injector = Tl_fault.Injector in
-  Engine.default_shards := shards;
-  let engine = Engine.mode_of_string engine in
-  setup_engine engine trace;
-  Tl_engine.Pool.default_workers := pool;
-  setup_profile profile report_fmt;
   let schedule =
-    match faults with
-    | None -> Tl_fault.Schedule.empty
-    | Some s -> (
-      match Tl_fault.Schedule.of_arg s with
-      | Ok sc -> sc
-      | Error msg -> failwith (Printf.sprintf "bad --faults: %s" msg))
+    Option.fold ~none:(Ok Tl_fault.Schedule.empty)
+      ~some:Tl_fault.Schedule.of_arg faults
   in
-  let g = build_instance family n seed a delta in
-  let real_n = Graph.n_nodes g in
-  let workload =
-    match problem with
-    | "flood" -> Chaos.Flood { source = 0 }
-    | "mis" -> Chaos.Mis { ids = Ids.permuted ~n:real_n ~seed:(seed + 1) }
-    | other -> failwith (Printf.sprintf "unknown chaos workload %s" other)
-  in
-  let r = Chaos.run ~mode:engine ~graph:g ~problem:workload ~schedule () in
-  Printf.printf "problem:     %s under faults\n" r.Chaos.problem;
-  Printf.printf "engine:      %s\n" r.Chaos.mode;
-  Printf.printf "nodes:       %d (%d surviving)\n" r.Chaos.n r.Chaos.survivors;
-  Printf.printf "epochs:      %d (%d proc retries)\n" r.Chaos.epochs
-    r.Chaos.retries;
-  Printf.printf "rounds:      %d executed, horizon %d\n" r.Chaos.rounds
-    r.Chaos.horizon;
-  Printf.printf "events:      %d crash, %d recover, %d drop, %d kill\n"
-    r.Chaos.crashes r.Chaos.recoveries r.Chaos.drops r.Chaos.kills;
-  List.iteri
-    (fun i (round, a) ->
-      if i < 40 then
-        Printf.printf "  @%-5d %s\n" round (Injector.applied_to_string a)
-      else if i = 40 then Printf.printf "  ...\n")
-    r.Chaos.log;
-  Printf.printf "repairs:     %d (%d labels rewritten, %d-node regions, \
-                 %.6f s)\n"
-    r.Chaos.repairs r.Chaos.relabeled r.Chaos.repair_region r.Chaos.repair_s;
-  Printf.printf "digest:      %016Lx\n" r.Chaos.digest;
-  print_trace_summary ();
-  Printf.printf "valid:       %b\n" r.Chaos.valid;
-  if not r.Chaos.valid then exit 1
+  match (Tl_serve.Protocol.resolve_knobs ~engine ~shards ~pool ~n, schedule) with
+  | Error msg, _ -> `Error (false, msg)
+  | _, Error msg -> `Error (false, "bad --faults: " ^ msg)
+  | Ok mode, Ok schedule ->
+    setup_trace trace;
+    setup_profile profile report_fmt;
+    Engine.with_knobs ~mode ~workers:pool @@ fun () ->
+    let g = Gen.of_family family ~n ~seed ~a ~delta in
+    let real_n = Graph.n_nodes g in
+    let workload =
+      match problem with
+      | `Flood -> Chaos.Flood { source = 0 }
+      | `Mis -> Chaos.Mis { ids = Ids.permuted ~n:real_n ~seed:(seed + 1) }
+    in
+    let r = Chaos.run ~mode ~graph:g ~problem:workload ~schedule () in
+    Printf.printf "problem:     %s under faults\n" r.Chaos.problem;
+    Printf.printf "engine:      %s\n" r.Chaos.mode;
+    Printf.printf "nodes:       %d (%d surviving)\n" r.Chaos.n r.Chaos.survivors;
+    Printf.printf "epochs:      %d (%d proc retries)\n" r.Chaos.epochs
+      r.Chaos.retries;
+    Printf.printf "rounds:      %d executed, horizon %d\n" r.Chaos.rounds
+      r.Chaos.horizon;
+    Printf.printf "events:      %d crash, %d recover, %d drop, %d kill\n"
+      r.Chaos.crashes r.Chaos.recoveries r.Chaos.drops r.Chaos.kills;
+    List.iteri
+      (fun i (round, a) ->
+        if i < 40 then
+          Printf.printf "  @%-5d %s\n" round (Injector.applied_to_string a)
+        else if i = 40 then Printf.printf "  ...\n")
+      r.Chaos.log;
+    Printf.printf "repairs:     %d (%d labels rewritten, %d-node regions, \
+                   %.6f s)\n"
+      r.Chaos.repairs r.Chaos.relabeled r.Chaos.repair_region r.Chaos.repair_s;
+    Printf.printf "digest:      %016Lx\n" r.Chaos.digest;
+    print_trace_summary ();
+    Printf.printf "valid:       %b\n" r.Chaos.valid;
+    if not r.Chaos.valid then exit 1;
+    `Ok ()
 
 let chaos_cmd =
   let doc =
@@ -543,9 +448,10 @@ let chaos_cmd =
   in
   Cmd.v (Cmd.info "chaos" ~doc)
     Term.(
-      const chaos $ chaos_problem_arg $ family_arg $ n_arg $ seed_arg $ a_arg
-      $ delta_arg $ engine_arg $ shards_arg $ pool_arg $ faults_arg
-      $ trace_arg $ profile_arg $ report_fmt_arg)
+      ret
+        (const chaos $ chaos_problem_arg $ family_arg $ n_arg $ seed_arg
+       $ a_arg $ delta_arg $ engine_arg $ shards_arg $ pool_arg $ faults_arg
+       $ trace_arg $ profile_arg $ report_fmt_arg))
 
 (* ---------- predict ---------- *)
 
@@ -692,24 +598,19 @@ let client socket cmd format problem method_ family n seed a delta k engine
     (* transport loops: the request survives partial writes, the
        response read restarts on EINTR *)
     T.write_string fd (Json.to_line req);
-    let read_line () =
-      let buf = Buffer.create 4096 in
-      let chunk = Bytes.create 4096 in
-      let rec go () =
+    let reader = Json.Ndjson.reader () in
+    let chunk = Bytes.create 4096 in
+    let rec read_line () =
+      match Json.Ndjson.next_line reader with
+      | Some (Json.Ndjson.Line l) -> l
+      | Some Json.Ndjson.Too_long -> assert false (* unbounded reader *)
+      | None ->
         let n = T.read_some fd chunk 0 (Bytes.length chunk) in
-        if n = 0 then
-          if Buffer.length buf = 0 then raise End_of_file
-          else Buffer.contents buf
-        else
-          match Bytes.index_opt (Bytes.sub chunk 0 n) '\n' with
-          | Some i ->
-            Buffer.add_subbytes buf chunk 0 i;
-            Buffer.contents buf
-          | None ->
-            Buffer.add_subbytes buf chunk 0 n;
-            go ()
-      in
-      go ()
+        if n > 0 then Json.Ndjson.feed reader (Bytes.sub_string chunk 0 n)
+        else if Json.Ndjson.pending reader <> "" then
+          Json.Ndjson.feed reader "\n"
+        else raise End_of_file;
+        read_line ()
     in
     (match read_line () with
     | exception End_of_file ->

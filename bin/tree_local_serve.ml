@@ -8,6 +8,17 @@
 open Cmdliner
 module Server = Tl_serve.Server
 
+(* An integer option of at least [min]; [what] names it in the usage
+   error. *)
+let int_at_least min what =
+  let parse s =
+    match int_of_string_opt s with
+    | Some v when v >= min -> Ok v
+    | _ ->
+      Error (`Msg (Printf.sprintf "invalid %s %S (expected >= %d)" what s min))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let socket_arg =
   let doc =
     "Listen on a Unix-domain socket at $(docv) (serving one connection \
@@ -24,17 +35,9 @@ let depth_arg =
      queued in the cycle is rejected with a structured error instead of \
      waiting (backpressure)."
   in
-  let pos_int =
-    let parse s =
-      match int_of_string_opt s with
-      | Some d when d >= 1 -> Ok d
-      | _ -> Error (`Msg (Printf.sprintf "invalid depth %S (expected >= 1)" s))
-    in
-    Arg.conv (parse, Format.pp_print_int)
-  in
   Arg.(
     value
-    & opt pos_int Server.default_config.Server.depth
+    & opt (int_at_least 1 "depth") Server.default_config.Server.depth
     & info [ "depth" ] ~docv:"D" ~doc)
 
 let cache_arg =
@@ -44,33 +47,16 @@ let cache_arg =
      spec, so same-topology requests skip regeneration. 0 disables \
      caching."
   in
-  let nonneg =
-    let parse s =
-      match int_of_string_opt s with
-      | Some c when c >= 0 -> Ok c
-      | _ ->
-        Error (`Msg (Printf.sprintf "invalid cache size %S (expected >= 0)" s))
-    in
-    Arg.conv (parse, Format.pp_print_int)
-  in
   Arg.(
     value
-    & opt nonneg Server.default_config.Server.cache_slots
+    & opt (int_at_least 0 "cache size") Server.default_config.Server.cache_slots
     & info [ "cache-slots" ] ~docv:"C" ~doc)
 
 let max_n_arg =
   let doc = "Admission guard: reject requests for instances above $(docv) nodes." in
-  let pos_int =
-    let parse s =
-      match int_of_string_opt s with
-      | Some m when m >= 1 -> Ok m
-      | _ -> Error (`Msg (Printf.sprintf "invalid max-n %S (expected >= 1)" s))
-    in
-    Arg.conv (parse, Format.pp_print_int)
-  in
   Arg.(
     value
-    & opt pos_int Server.default_config.Server.max_n
+    & opt (int_at_least 1 "max-n") Server.default_config.Server.max_n
     & info [ "max-n" ] ~docv:"N" ~doc)
 
 let serve socket depth cache_slots max_n =

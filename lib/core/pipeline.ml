@@ -1,4 +1,5 @@
 module Graph = Tl_graph.Graph
+module Props = Tl_graph.Props
 module Semi_graph = Tl_graph.Semi_graph
 module Labeling = Tl_problems.Labeling
 module Round_cost = Tl_local.Round_cost
@@ -129,3 +130,63 @@ let matching_direct ~graph ~ids =
 let edge_coloring_direct ~graph ~ids =
   direct Tl_problems.Edge_coloring.problem Tl_symmetry.Algos.edge_coloring
     ~graph ~ids
+
+(* ---------- the (problem, method) table ---------- *)
+
+type solved = Solved : 'l report -> solved
+
+type row = {
+  problem : string;
+  method_ : string;
+  name : string;
+  tree_only : bool;
+  run : int option -> Graph.t -> int -> int array -> solved;
+}
+
+let baseline problem solve _k g _a ids =
+  let labeling, cost = solve ~tree:g ~ids in
+  Solved (finish problem g labeling cost 0)
+
+let on_graph f _k g _a ids = Solved (f ~graph:g ~ids)
+
+let table =
+  let row ?(tree_only = false) problem method_ name run =
+    { problem; method_; name; tree_only; run }
+  in
+  [
+    row ~tree_only:true "mis" "transform" "MIS (Theorem 12)" (fun k g _ ids ->
+        Solved (mis_on_tree ?k ~tree:g ~ids ()));
+    row ~tree_only:true "coloring" "transform" "(deg+1)-coloring (Theorem 12)"
+      (fun k g _ ids -> Solved (coloring_on_tree ?k ~tree:g ~ids ()));
+    row "matching" "transform" "maximal matching (Theorem 15)" (fun k g a ids ->
+        Solved (matching_on_graph ?k ~graph:g ~a ~ids ()));
+    row "edge-coloring" "transform" "(edge-degree+1)-edge coloring (Theorem 15)"
+      (fun k g a ids -> Solved (edge_coloring_on_graph ?k ~graph:g ~a ~ids ()));
+    row "mis" "direct" "MIS (direct)" (on_graph mis_direct);
+    row "coloring" "direct" "(deg+1)-coloring (direct)" (on_graph coloring_direct);
+    row "matching" "direct" "maximal matching (direct)" (on_graph matching_direct);
+    row "edge-coloring" "direct" "(edge-degree+1)-edge coloring (direct)"
+      (on_graph edge_coloring_direct);
+    row ~tree_only:true "matching" "baseline"
+      "maximal matching (BE13-style baseline)"
+      (baseline Tl_problems.Matching.problem Baseline.matching_on_tree);
+    row ~tree_only:true "edge-coloring" "baseline"
+      "(edge-degree+1)-edge coloring (BE13-style baseline)"
+      (baseline Tl_problems.Edge_coloring.problem Baseline.edge_coloring_on_tree);
+  ]
+
+let lookup ~problem ~method_ =
+  let same r = r.problem = problem && r.method_ = method_ in
+  match List.find_opt same table with
+  | Some row -> Ok row
+  | None when List.exists (fun r -> r.problem = problem) table ->
+    Error (Printf.sprintf "problem %S has no method %S" problem method_)
+  | None -> Error (Printf.sprintf "unknown problem %S" problem)
+
+let solve row ?k ~graph ~a ~ids () =
+  if row.tree_only && not (Props.is_tree graph) then
+    Error
+      (Printf.sprintf "%s via Theorem 12 needs a tree instance"
+         (if row.method_ = "baseline" then "baseline " ^ row.problem
+          else row.problem))
+  else Ok (row.run k graph a ids)

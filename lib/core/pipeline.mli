@@ -1,7 +1,7 @@
 (** Ready-made end-to-end pipelines: each of the four flagship problems
     wired to its base algorithm, list-variant solver and default
-    complexity model. These are the entry points used by the examples,
-    the CLI and the experiments. *)
+    complexity model, and the one (problem, method) {!table} through
+    which the CLI and the serving daemon reach them. *)
 
 type 'l report = {
   labeling : 'l Tl_problems.Labeling.t;
@@ -75,3 +75,31 @@ val matching_direct :
 
 val edge_coloring_direct :
   graph:Tl_graph.Graph.t -> ids:int array -> Tl_problems.Edge_coloring.label report
+
+(** {1 The (problem, method) table} — shared by [tree-local solve] and
+    the serving daemon. *)
+
+type solved = Solved : 'l report -> solved
+
+type row = {
+  problem : string;
+  method_ : string;  (** ["transform"], ["direct"] or ["baseline"] *)
+  name : string;  (** display name, e.g. ["MIS (Theorem 12)"] *)
+  tree_only : bool;
+  run : int option -> Tl_graph.Graph.t -> int -> int array -> solved;
+      (** [run k graph a ids]; call it through {!solve} *)
+}
+
+val table : row list
+(** Ten rows: the Theorem 12 / 15 pipelines ([transform]), the base
+    algorithms on the whole graph ([direct]) and the [BE13]-style tree
+    baselines for matching and edge colouring ([baseline]). *)
+
+val lookup : problem:string -> method_:string -> (row, string) result
+(** The row, or an error naming the unknown problem or missing method. *)
+
+val solve :
+  row -> ?k:int -> graph:Tl_graph.Graph.t -> a:int -> ids:int array -> unit ->
+  (solved, string) result
+(** Run a row; a [tree_only] row on a non-tree is an [Error]
+    (["mis via Theorem 12 needs a tree instance"]) and runs nothing. *)

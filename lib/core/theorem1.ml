@@ -44,20 +44,6 @@ let assert_disjoint_owners tree components =
         component)
     components
 
-(* Scoped engine-mode override: the theorem phases drive many engine
-   runs (base algorithm, color reductions) through call chains that do
-   not thread a mode, so the backend knob retargets the process default
-   for the duration of the run and restores it even on raise. *)
-let with_engine engine f =
-  match engine with
-  | None -> f ()
-  | Some m ->
-    let saved = !Tl_engine.Engine.default_mode in
-    Tl_engine.Engine.default_mode := m;
-    Fun.protect
-      ~finally:(fun () -> Tl_engine.Engine.default_mode := saved)
-      f
-
 let run_inner ?(check_invariants = false) ?workers ?k ~spec ~tree ~ids ~f () =
   let n = Graph.n_nodes tree in
   let pool = Pool.create ?workers () in
@@ -191,5 +177,5 @@ let run_inner ?(check_invariants = false) ?workers ?k ~spec ~tree ~ids ~f () =
   { labeling; cost; rc; k }
 
 let run ?check_invariants ?workers ?engine ?k ~spec ~tree ~ids ~f () =
-  with_engine engine (fun () ->
+  Tl_engine.Engine.with_knobs ?mode:engine (fun () ->
       run_inner ?check_invariants ?workers ?k ~spec ~tree ~ids ~f ())

@@ -67,13 +67,10 @@ val run :
     proof invariant is checked once after the phase instead of after
     every component.
 
-    [engine] scopes {!Tl_engine.Engine.default_mode} to the run: every
-    engine-backed step inside (the base algorithm's color reductions,
-    any runtime simulation) executes on that backend — e.g.
-    [~engine:(Shard 8)] runs the whole theorem end-to-end on the
-    sharded halo-exchange backend. Results are bit-identical across
-    backends (the engine's determinism guarantee), so the knob only
-    selects the execution substrate.
+    [engine] scopes {!Tl_engine.Engine.default_mode} to the run
+    ({!Tl_engine.Engine.with_knobs}): every engine-backed step inside
+    executes on that backend, with bit-identical results — e.g.
+    [~engine:(Shard 8)] runs the whole theorem on the sharded backend.
 
     Phases charged to the ledger: ["decompose"], ["base:A(T_C)"],
     ["gather-solve(T_R)"]. Span counters under ["gather-solve"]:

@@ -63,10 +63,8 @@ val run :
     ordered, and results are bit-identical to the sequential run for any
     worker count.
 
-    [engine] scopes {!Tl_engine.Engine.default_mode} to the run, exactly
-    like {!Tl_core.Theorem1.run}: [~engine:(Shard 8)] executes every
-    engine-backed step on the sharded halo-exchange backend with
-    bit-identical results.
+    [engine] scopes the engine mode to the run, exactly like
+    {!Tl_core.Theorem1.run}.
 
     Phases charged: ["decompose"], ["forest-3-coloring"], ["base:A(G[E2])"],
     ["gather-solve(stars)"] (2 rounds per [F_{i,j}] slot, [6a] slots).

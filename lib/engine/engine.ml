@@ -3,9 +3,6 @@ module Semi_graph = Tl_graph.Semi_graph
 type mode = Naive | Seq | Par of int | Shard of int | Proc of int
 type scheduling = Active_set | Full_scan
 
-let default_shards = ref 4
-let default_procs = ref 4
-
 let mode_to_string = function
   | Naive -> "naive"
   | Seq -> "seq"
@@ -37,7 +34,7 @@ let count_suffix s prefix =
   end
   else None
 
-let mode_of_string s =
+let mode_of_string ?(count = 0) s =
   if String.trim s <> s then
     invalid_arg
       (Printf.sprintf
@@ -47,8 +44,8 @@ let mode_of_string s =
   match s with
   | "naive" -> Naive
   | "seq" -> Seq
-  | "shard" -> Shard (max 1 !default_shards)
-  | "proc" -> Proc (max 1 !default_procs)
+  | "shard" when count >= 1 -> Shard count
+  | "proc" when count >= 1 -> Proc count
   | _ -> (
     match count_suffix s "par:" with
     | Some p -> Par p
@@ -70,6 +67,16 @@ let sched_to_string = function
   | Full_scan -> "full-scan"
 
 let default_mode = ref Seq
+
+let with_knobs ?mode ?workers f =
+  let saved_mode = !default_mode and saved_workers = !Pool.default_workers in
+  Option.iter (fun m -> default_mode := m) mode;
+  Option.iter (fun w -> Pool.default_workers := w) workers;
+  Fun.protect
+    ~finally:(fun () ->
+      default_mode := saved_mode;
+      Pool.default_workers := saved_workers)
+    f
 
 (* The fault gate lives in the driver; these are its engine-facing names. *)
 let fault_gate = Driver.fault_gate

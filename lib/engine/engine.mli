@@ -75,12 +75,12 @@ type scheduling =
 val mode_to_string : mode -> string
 val sched_to_string : scheduling -> string
 
-val mode_of_string : string -> mode
+val mode_of_string : ?count:int -> string -> mode
 (** Parses ["naive"], ["seq"], ["par:N"], ["shard:N"], ["proc:N"]
-    (N >= 1), ["shard"] (shard count taken from {!default_shards} at
-    parse time) and ["proc"] (process count from {!default_procs}).
-    Raises [Invalid_argument] with a message naming the offending input
-    otherwise — including ["par:0"]/["shard:0"]/["proc:0"] (count must
+    (N >= 1), and a bare ["shard"] / ["proc"] as [count] shards /
+    processes. Raises [Invalid_argument] with a message naming the
+    offending input otherwise — including a bare ["shard"]/["proc"]
+    without a [count >= 1], ["par:0"]/["shard:0"]/["proc:0"] (count must
     be >= 1), non-digit or out-of-range counts, and strings with
     surrounding whitespace (callers splitting config lines forget to
     trim; a silent accept here would mask that). *)
@@ -96,17 +96,14 @@ val par_grain : int ref
     [0] to force the team on. *)
 
 val default_mode : mode ref
-(** Mode used when a run does not specify one. [Seq] initially; the CLI's
-    [--engine] flag retargets every engine-backed execution in the
-    process by setting this. *)
+(** Mode used when a run does not specify one. [Seq] initially; set it
+    through {!with_knobs}. *)
 
-val default_shards : int ref
-(** Shard count used when a mode string says just ["shard"] — the CLI's
-    [--shards N] flag sets this once at startup. Defaults to [4]. *)
-
-val default_procs : int ref
-(** Worker-process count used when a mode string says just ["proc"].
-    Defaults to [4]. *)
+val with_knobs : ?mode:mode -> ?workers:int -> (unit -> 'a) -> 'a
+(** [with_knobs ?mode ?workers f] runs [f] with {!default_mode} and
+    {!Pool.default_workers} set to [mode] / [workers] (each unchanged
+    when omitted) and restores both afterwards, also when [f] raises:
+    the one scope for the process-wide engine knobs. *)
 
 val fault_gate : (round:int -> bool) option ref
 (** Fault-injection round gate, owned by [Tl_fault.Injector] (above this

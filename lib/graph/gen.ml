@@ -271,3 +271,28 @@ let power_law_tree ~n ~seed =
 
 let power_law_union ~n ~arboricity ~seed =
   union_of_trees ~n ~arboricity ~seed ~tree_gen:power_law_tree
+
+(* ---------- named families ---------- *)
+
+let sqrt_n n = int_of_float (Float.sqrt (float_of_int n))
+
+(* name -> build n seed a delta *)
+let family_table =
+  [
+    ("random-tree", fun n seed _ _ -> random_tree ~n ~seed);
+    ("balanced-tree", fun n _ _ delta -> balanced_regular_tree ~delta ~n);
+    ("path", fun n _ _ _ -> path n);
+    ("star", fun n _ _ _ -> star n);
+    ("caterpillar", fun n _ _ _ -> caterpillar ~spine:(max 1 (n / 4)) ~legs:3);
+    ("power-law", fun n seed _ _ -> power_law_tree ~n ~seed);
+    ("forest-union", fun n seed a _ -> forest_union ~n ~arboricity:a ~seed);
+    ("planar", fun n _ _ _ -> triangulated_grid (max 2 (sqrt_n n)));
+    ("grid", fun n _ _ _ -> grid (max 1 (sqrt_n n)) (max 1 (sqrt_n n)));
+  ]
+
+let families = List.map fst family_table
+
+let of_family family ~n ~seed ~a ~delta =
+  match List.assoc_opt family family_table with
+  | Some build -> build n seed a delta
+  | None -> invalid_arg (Printf.sprintf "unknown family %s" family)

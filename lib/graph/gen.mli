@@ -93,3 +93,13 @@ val power_law_union : n:int -> arboricity:int -> seed:int -> Graph.t
     the same node set (duplicates dropped): a bounded-arboricity graph
     with high-degree hubs — the instances on which Algorithm 3 actually
     produces atypical edges. *)
+
+(** {1 Named families} — the one table behind the CLI's [--family] and
+    the serving daemon's [graph.family]. *)
+
+val families : string list
+(** The accepted names, in display order. *)
+
+val of_family : string -> n:int -> seed:int -> a:int -> delta:int -> Graph.t
+(** Build a named family ([n] is approximate for [caterpillar], [planar]
+    and [grid]). Raises [Invalid_argument "unknown family <name>"]. *)

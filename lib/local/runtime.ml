@@ -30,26 +30,12 @@ let compile sg =
   Span.add_counter (if hit then "topo:cache_hit" else "topo:cache_miss") 1;
   (topo, Unix.gettimeofday () -. t0, hit)
 
-(* Observability bridge: when a span is ambient, make sure the engine run
-   is traced (creating a collector if the caller did not supply one) and
-   attach the trace to the current span as an "engine:<label>" child —
-   even when the run raises, so a diverging run still shows up in the
-   report. *)
-let with_engine_span ?trace ~label f =
-  if not (Span.active ()) then f trace
-  else
-    let tr =
-      match trace with Some t -> t | None -> Tl_engine.Trace.create ~label ()
-    in
-    Fun.protect ~finally:(fun () -> Span.add_trace tr) (fun () -> f (Some tr))
-
 let run_with ?mode ?sched ?equal ?trace ~sg ~init ~step ~halted ~max_rounds ()
     =
   let topo, compile_s, compile_cached = compile sg in
   let o =
-    with_engine_span ?trace ~label:"runtime.run" (fun trace ->
-        Engine.run ?mode ?sched ?equal ?trace ~label:"runtime.run" ~compile_s
-          ~compile_cached ~topo ~init ~step ~halted ~max_rounds ())
+    Engine.run ?mode ?sched ?equal ?trace ~label:"runtime.run" ~compile_s
+      ~compile_cached ~topo ~init ~step ~halted ~max_rounds ()
   in
   { states = o.Engine.states; rounds = o.Engine.rounds }
 
@@ -57,9 +43,8 @@ let run_until_stable_with ?mode ?sched ?trace ~sg ~init ~step ~equal
     ~max_rounds () =
   let topo, compile_s, compile_cached = compile sg in
   let o =
-    with_engine_span ?trace ~label:"runtime.stable" (fun trace ->
-        Engine.run_until_stable ?mode ?sched ?trace ~label:"runtime.stable"
-          ~compile_s ~compile_cached ~topo ~init ~step ~equal ~max_rounds ())
+    Engine.run_until_stable ?mode ?sched ?trace ~label:"runtime.stable"
+      ~compile_s ~compile_cached ~topo ~init ~step ~equal ~max_rounds ()
   in
   { states = o.Engine.states; rounds = o.Engine.rounds }
 

@@ -21,13 +21,7 @@
 
     Determinism: given the semi-graph, the ID assignment and a
     deterministic [step], runs are bit-for-bit reproducible across all
-    modes and schedulings.
-
-    Observability: when a {!Tl_obs.Span} is ambient, every entry point
-    traces its engine run (creating a {!Tl_engine.Trace} if the caller
-    supplied none) and attaches it to the current span as an
-    ["engine:<label>"] child, so phase spans opened by the callers show
-    where the simulator actually spent its work. *)
+    modes and schedulings. *)
 
 type 'state outcome = {
   states : 'state array;
@@ -114,6 +108,10 @@ val run_until_stable_with :
   unit ->
   'state outcome
 (** {!run_until_stable} with explicit engine controls. *)
+
+val compile : Tl_graph.Semi_graph.t -> Tl_engine.Topology.t * float * bool
+(** [(topo, compile_s, cache_hit)] through the topology cache, counted
+    as [topo:cache_hit] / [topo:cache_miss] on the current span. *)
 
 val charge_trace : Round_cost.t -> Tl_engine.Trace.t -> unit
 (** Merge an engine trace into a round ledger: charges the measured

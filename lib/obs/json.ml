@@ -287,13 +287,26 @@ let to_assoc = function Obj fields -> Some fields | _ -> None
 let to_line v = to_string v ^ "\n"
 
 module Ndjson = struct
-  (* A growing byte buffer with a consumption cursor. Consumed bytes are
+  (* A growing byte buffer with a consumption cursor [start] and a scan
+     cursor [scan]: bytes in [start, scan) hold no newline, so each byte
+     is searched once however its line arrives. Consumed bytes are
      dropped lazily: when the cursor passes half of a large buffer the
-     live tail is shifted down, so a long-running stream stays O(longest
-     line), not O(stream). *)
-  type reader = { buf : Buffer.t; mutable start : int }
+     live tail is shifted down, so a long-running stream stays
+     O(longest line), not O(stream). A line that grows past [max_line]
+     is reported once, then dropped as it arrives up to its newline
+     ([skipping]). *)
+  type reader = {
+    buf : Buffer.t;
+    mutable start : int;
+    mutable scan : int;
+    max_line : int;
+    mutable skipping : bool;
+  }
 
-  let reader () = { buf = Buffer.create 256; start = 0 }
+  type item = Line of string | Too_long
+
+  let reader ?(max_line = max_int) () =
+    { buf = Buffer.create 256; start = 0; scan = 0; max_line; skipping = false }
 
   let feed r ?(pos = 0) ?len s =
     let len = Option.value len ~default:(String.length s - pos) in
@@ -306,6 +319,7 @@ module Ndjson = struct
       let tail = Buffer.sub r.buf r.start (Buffer.length r.buf - r.start) in
       Buffer.clear r.buf;
       Buffer.add_string r.buf tail;
+      r.scan <- r.scan - r.start;
       r.start <- 0
     end
 
@@ -314,25 +328,41 @@ module Ndjson = struct
       (fun ch -> ch = ' ' || ch = '\t' || ch = '\r' || ch = '\n')
       line
 
-  (* Next complete line (newline consumed, not included), advancing the
-     cursor — or None when no newline is buffered. *)
   let rec next_line r =
     let len = Buffer.length r.buf in
-    let rec find i = if i >= len then None else
-      if Buffer.nth r.buf i = '\n' then Some i else find (i + 1)
-    in
-    match find r.start with
-    | None -> None
-    | Some nl ->
-      let line = Buffer.sub r.buf r.start (nl - r.start) in
-      r.start <- nl + 1;
-      compact r;
-      if is_blank line then next_line r else Some line
+    while r.scan < len && Buffer.nth r.buf r.scan <> '\n' do
+      r.scan <- r.scan + 1
+    done;
+    let from = r.start and over = r.scan - r.start > r.max_line in
+    if r.scan = len && not (over || r.skipping) then None
+    else if r.scan = len then begin
+      (* an over-long partial line: drop what arrived, report it once *)
+      let first = not r.skipping in
+      Buffer.clear r.buf;
+      r.start <- 0;
+      r.scan <- 0;
+      r.skipping <- true;
+      if first then Some Too_long else None
+    end
+    else begin
+      let skipped = r.skipping in
+      r.start <- r.scan + 1;
+      r.scan <- r.start;
+      r.skipping <- false;
+      if skipped then (compact r; next_line r)
+      else if over then (compact r; Some Too_long)
+      else
+        let line = Buffer.sub r.buf from (r.start - 1 - from) in
+        compact r;
+        if is_blank line then next_line r else Some (Line line)
+    end
 
   let next r =
     match next_line r with
     | None -> None
-    | Some line -> Some (parse line)
+    | Some (Line line) -> Some (parse line)
+    | Some Too_long ->
+      raise (Parse_error (Printf.sprintf "line exceeds %d bytes" r.max_line))
 
   let pending r = Buffer.sub r.buf r.start (Buffer.length r.buf - r.start)
 end

@@ -66,22 +66,33 @@ val to_line : t -> string
 module Ndjson : sig
   type reader
   (** Incremental line-splitting reader: feed arbitrary byte chunks
-      (network reads, pipe reads, whole files), pull one parsed value
-      per complete input line. Blank (whitespace-only) lines are
-      skipped. *)
+      (network reads, pipe reads, whole files), pull one line — or its
+      parsed value — per complete input line. Blank (whitespace-only)
+      lines are skipped; each byte is scanned for a newline once. *)
 
-  val reader : unit -> reader
+  val reader : ?max_line:int -> unit -> reader
+  (** [max_line] (default unbounded) caps a line's length in bytes. A
+      longer line is reported once as {!Too_long} as soon as its
+      buffered part passes the cap, then discarded up to its newline,
+      so the reader holds at most [max_line] bytes of a line plus the
+      last chunk fed. *)
 
   val feed : reader -> ?pos:int -> ?len:int -> string -> unit
   (** Append a chunk (default the whole string) to the reader's
       buffer. Raises [Invalid_argument] on an out-of-bounds
       [pos]/[len]. *)
 
+  type item = Line of string | Too_long
+
+  val next_line : reader -> item option
+  (** The next complete line (newline excluded), or [None] when no
+      complete line is buffered. At end of input, feed ["\n"] to
+      complete a non-empty {!pending} tail. *)
+
   val next : reader -> t option
-  (** The next complete line's value, or [None] when no complete line
-      is buffered (feed more, or the stream ended mid-line). A
-      malformed line raises {!Parse_error} — the line is consumed, so
-      a caller may report the error and keep pulling. *)
+  (** {!next_line}, parsed. A malformed or {!Too_long} line raises
+      {!Parse_error} — the line is consumed, so a caller may report the
+      error and keep pulling. *)
 
   val pending : reader -> string
   (** Bytes buffered after the last complete line (the partial tail),

@@ -35,9 +35,49 @@ let stack : t list ref = ref []
 let active () = !stack <> []
 let current () = match !stack with [] -> None | s :: _ -> Some s
 
+let add_trace tr =
+  match current () with
+  | None -> ()
+  | Some parent ->
+    let m = Trace.metrics tr in
+    let child = mk ("engine:" ^ Trace.label tr) in
+    child.attrs <-
+      List.rev
+        [
+          ("mode", Trace.mode tr);
+          ("scheduling", Trace.scheduling tr);
+          ("compile_s", Printf.sprintf "%.6f" m.Trace.compile_s);
+        ];
+    child.counters <-
+      List.rev
+        [
+          ("rounds", m.Trace.rounds);
+          ("steps", m.Trace.steps);
+          ("naive_steps", m.Trace.naive_steps);
+          ("max_active", m.Trace.max_active);
+          ("n_present", Trace.n_present tr);
+        ];
+    child.elapsed_s <- m.Trace.total_s;
+    parent.children_rev <- child :: parent.children_rev
+
+(* The engine bridge: while some span is ambient, one driver subscriber
+   attaches every finished engine trace to the current span (and its
+   presence makes every run traced); with no span ambient, nothing is
+   subscribed and engine runs stay untraced. *)
+let bridge : Tl_engine.Driver.subscription option ref = ref None
+
+let set_stack s =
+  (match (!stack, s) with
+  | [], _ :: _ -> bridge := Some (Tl_engine.Driver.subscribe add_trace)
+  | _ :: _, [] ->
+    Option.iter Tl_engine.Driver.unsubscribe !bridge;
+    bridge := None
+  | _ -> ());
+  stack := s
+
 let install_root t =
   if active () then invalid_arg "Span.install_root: a span is already ambient";
-  stack := [ t ]
+  set_stack [ t ]
 
 let rec stamp t =
   if t.elapsed_s < 0. then begin
@@ -55,17 +95,17 @@ let finish t =
       | [] -> []
       | s :: rest -> if s == t then rest else drop rest
     in
-    stack := drop !stack
+    set_stack (drop !stack)
   end
 
-let push t = stack := t :: !stack
+let push t = set_stack (t :: !stack)
 
 let pop () =
   match !stack with
   | [] -> ()
   | t :: rest ->
     stamp t;
-    stack := rest
+    set_stack rest
 
 let run ?attrs name f =
   let t = mk ?attrs name in
@@ -112,31 +152,6 @@ let add_rounds ~phase v =
   match current () with
   | None -> ()
   | Some t -> t.rounds <- bump t.rounds phase v
-
-let add_trace tr =
-  match current () with
-  | None -> ()
-  | Some parent ->
-    let m = Trace.metrics tr in
-    let child = mk ("engine:" ^ Trace.label tr) in
-    child.attrs <-
-      List.rev
-        [
-          ("mode", Trace.mode tr);
-          ("scheduling", Trace.scheduling tr);
-          ("compile_s", Printf.sprintf "%.6f" m.Trace.compile_s);
-        ];
-    child.counters <-
-      List.rev
-        [
-          ("rounds", m.Trace.rounds);
-          ("steps", m.Trace.steps);
-          ("naive_steps", m.Trace.naive_steps);
-          ("max_active", m.Trace.max_active);
-          ("n_present", Trace.n_present tr);
-        ];
-    child.elapsed_s <- m.Trace.total_s;
-    parent.children_rev <- child :: parent.children_rev
 
 (* ---------- accessors ---------- *)
 

@@ -32,11 +32,13 @@
       span via {!add_rounds}: phase ledgers and span trees always agree.
     - Engine runs attach their {!Tl_engine.Trace} as a {e child} span
       named ["engine:<label>"] carrying the measured rounds/steps as
-      counters and [total_s] as elapsed time (see {!add_trace});
-      {!Tl_local.Runtime} does this automatically whenever a span is
-      ambient. Trace rounds are {e measured executions}, not the paper's
-      accounted LOCAL rounds, so they live in counters and never pollute
-      {!rounds_total}. *)
+      counters and [total_s] as elapsed time (see {!add_trace}). While
+      some span is ambient ({!run}, {!install_root}), one
+      {!Tl_engine.Driver.subscribe}r does this for every engine run of
+      every backend; it unsubscribes when the root is finished, so runs
+      outside any span stay untraced. Trace rounds are {e measured
+      executions}, not the paper's accounted LOCAL rounds, so they live
+      in counters and never pollute {!rounds_total}. *)
 
 type t
 

@@ -527,10 +527,7 @@ let assemble_flat ~topo ~(kernel : Flat.kernel) ~plan images =
     images;
   fun rounds -> { Flat.slab; slots; rounds }
 
-let run_flat_with ?procs ~sched ~topo ~kernel_for term =
-  let procs =
-    match procs with Some p -> p | None -> max 1 !Engine.default_procs
-  in
+let run_flat_with ~procs ~sched ~topo ~kernel_for term =
   let kernel = kernel_for ~l2g:(Array.init topo.Topology.n_base Fun.id) in
   (match (term, kernel.Flat.halted) with
   | Driver.Until_halted _, None ->
@@ -544,13 +541,13 @@ let run_flat_with ?procs ~sched ~topo ~kernel_for term =
       let images, rounds = drive ~tr:None ~term ops in
       assemble_flat ~topo ~kernel ~plan:ops.plan images rounds)
 
-let run_flat ?procs ?(sched = Engine.Active_set) ~topo ~kernel_for
+let run_flat ~procs ?(sched = Engine.Active_set) ~topo ~kernel_for
     ~max_rounds () =
-  run_flat_with ?procs ~sched ~topo ~kernel_for (Driver.Until_halted max_rounds)
+  run_flat_with ~procs ~sched ~topo ~kernel_for (Driver.Until_halted max_rounds)
 
-let run_flat_until_stable ?procs ?(sched = Engine.Active_set) ~topo
+let run_flat_until_stable ~procs ?(sched = Engine.Active_set) ~topo
     ~kernel_for ~max_rounds () =
-  run_flat_with ?procs ~sched ~topo ~kernel_for (Driver.Until_stable max_rounds)
+  run_flat_with ~procs ~sched ~topo ~kernel_for (Driver.Until_stable max_rounds)
 
 (* Shard-local builders for the stock flat kernels: the worker calls
    [kernel_for ~l2g:shard.l2g] so node-indexed inputs are remapped into
@@ -570,21 +567,17 @@ end
 
 (* ---------- direct boxed API (mirrors Shard.run / Par.run) ---------- *)
 
-let proc_count = function
-  | Some p -> p
-  | None -> max 1 !Engine.default_procs
-
-let run ?procs ?sched ?equal ?trace ?label ~topo ~init ~step ~halted
+let run ~procs ?sched ?equal ?trace ?label ~topo ~init ~step ~halted
     ~max_rounds () =
-  Engine.run ~mode:(Engine.Proc (proc_count procs)) ?sched ?equal ?trace
-    ?label ~topo ~init ~step ~halted ~max_rounds ()
+  Engine.run ~mode:(Engine.Proc procs) ?sched ?equal ?trace ?label ~topo ~init
+    ~step ~halted ~max_rounds ()
 
-let run_until_stable ?procs ?sched ?trace ?label ~topo ~init ~step ~equal
+let run_until_stable ~procs ?sched ?trace ?label ~topo ~init ~step ~equal
     ~max_rounds () =
-  Engine.run_until_stable ~mode:(Engine.Proc (proc_count procs)) ?sched
-    ?trace ?label ~topo ~init ~step ~equal ~max_rounds ()
+  Engine.run_until_stable ~mode:(Engine.Proc procs) ?sched ?trace ?label ~topo
+    ~init ~step ~equal ~max_rounds ()
 
-let run_rounds ?procs ?sched ?equal ?trace ?label ~topo ~init ~step ~rounds
+let run_rounds ~procs ?sched ?equal ?trace ?label ~topo ~init ~step ~rounds
     () =
-  Engine.run_rounds ~mode:(Engine.Proc (proc_count procs)) ?sched ?equal
-    ?trace ?label ~topo ~init ~step ~rounds ()
+  Engine.run_rounds ~mode:(Engine.Proc procs) ?sched ?equal ?trace ?label
+    ~topo ~init ~step ~rounds ()

@@ -380,48 +380,31 @@ let resolve_knobs ~engine ~shards ~pool ~n =
     Stdlib.Error
       (Printf.sprintf "invalid pool size %d (expected 1 <= N <= 64)" pool)
   else
-    (* "shard"/"proc" without an inline count resolve against the
-       request's shards knob; scope both refs so the caller's globals
-       are untouched *)
-    let saved = !Engine.default_shards in
-    let saved_p = !Engine.default_procs in
-    Engine.default_shards := shards;
-    Engine.default_procs := shards;
-    let mode =
-      Fun.protect
-        ~finally:(fun () ->
-          Engine.default_shards := saved;
-          Engine.default_procs := saved_p)
-        (fun () ->
-          match Engine.mode_of_string engine with
-          | m -> Ok m
-          | exception Invalid_argument _ ->
-            Stdlib.Error
-              (Printf.sprintf
-                 "invalid engine %S (expected naive, seq, par:N, shard, \
-                  shard:S, proc or proc:S)"
-                 engine))
-    in
-    match mode with
-    | Stdlib.Error _ as e -> e
-    | Ok (Engine.Shard s) when s > n ->
+    (* "shard"/"proc" without an inline count take the shards knob *)
+    match Engine.mode_of_string ~count:shards engine with
+    | exception Invalid_argument _ ->
       Stdlib.Error
         (Printf.sprintf
-           "shard count %d exceeds the instance size n = %d (each shard \
-            needs at least one node)"
-           s n)
-    | Ok (Engine.Shard _) when !Engine.shard_backend = None ->
-      Stdlib.Error
-        "engine shard requested but no shard backend is linked (build \
-         against tl_shard)"
-    | Ok (Engine.Proc p) when p > n ->
-      Stdlib.Error
-        (Printf.sprintf
-           "proc count %d exceeds the instance size n = %d (each worker \
-            needs at least one node)"
-           p n)
-    | Ok (Engine.Proc _) when !Engine.proc_backend = None ->
-      Stdlib.Error
-        "engine proc requested but no process backend is linked (build \
-         against tl_proc)"
-    | Ok m -> Ok m
+           "invalid engine %S (expected naive, seq, par:N, shard, shard:S, \
+            proc or proc:S)"
+           engine)
+    | (Engine.Shard c | Engine.Proc c) as m ->
+      let kind, unit, backend, linked =
+        match m with
+        | Engine.Shard _ -> ("shard", "shard", "shard", !Engine.shard_backend)
+        | _ -> ("proc", "worker", "process", !Engine.proc_backend)
+      in
+      if c > n then
+        Stdlib.Error
+          (Printf.sprintf
+             "%s count %d exceeds the instance size n = %d (each %s needs at \
+              least one node)"
+             kind c n unit)
+      else if linked = None then
+        Stdlib.Error
+          (Printf.sprintf
+             "engine %s requested but no %s backend is linked (build against \
+              tl_%s)"
+             kind backend kind)
+      else Ok m
+    | m -> Ok m

@@ -17,11 +17,11 @@
     {v
     { "v": 1, "id": "r1",
       "problem": "mis",                  // mis|coloring|matching|edge-coloring|flood
-      "method": "transform",             // transform|direct|baseline (flood ignores it)
+      "method": "transform",             // transform|direct|baseline|chaos
       "graph": { "family": "random-tree", "n": 1000, "seed": 7,
-                 "a": 1, "delta": 8 },
+                 "a": 1, "delta": 8 },      // family: Tl_graph.Gen.families
       // or: "graph": { "n": 4, "edges": [[0,1],[1,2],[2,3]], "seed": 1 }
-      "engine": "seq",                   // naive|seq|par:N|shard|shard:S
+      "engine": "seq",                   // naive|seq|par:N|shard[:S]|proc[:S]
       "shards": 4, "pool": 1,
       "k": null,                         // decomposition parameter override
       "span": true }                     // include the span report in the response
@@ -158,9 +158,9 @@ val resolve_knobs :
   engine:string -> shards:int -> pool:int -> n:int ->
   (Tl_engine.Engine.mode, string) result
 (** Validate an (engine, shards, pool) combination against an instance
-    of [n] nodes and resolve the engine string to a mode (["shard"]
-    picks up [shards]). Errors — friendly, one-line — cover: unknown
-    engine strings, [shards < 1], [shards > n], [pool] outside [1, 64],
-    [n < 1], and shard mode requested while no shard backend is linked
-    ({!Tl_engine.Engine.shard_backend} is [None]). Shared by the daemon
-    (per-request admission) and the CLI (argument cross-validation). *)
+    of [n] nodes and resolve the engine string to a mode (a bare
+    ["shard"] / ["proc"] takes [shards]). Errors — friendly, one-line —
+    cover: unknown engine strings, [shards < 1], a shard or process
+    count above [n], [pool] outside [1, 64], [n < 1], and shard / proc
+    mode requested while that backend is not linked. The one knob
+    resolver: the daemon's admission and the CLI's [solve] / [chaos]. *)

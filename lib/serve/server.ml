@@ -4,14 +4,11 @@ module Report = Tl_obs.Report
 module Metrics = Tl_obs.Metrics
 module Graph = Tl_graph.Graph
 module Gen = Tl_graph.Gen
-module Props = Tl_graph.Props
 module Semi_graph = Tl_graph.Semi_graph
 module Ids = Tl_local.Ids
 module Round_cost = Tl_local.Round_cost
 module Engine = Tl_engine.Engine
 module Topology = Tl_engine.Topology
-module Trace = Tl_engine.Trace
-module Pool = Tl_engine.Pool
 module Plan = Tl_shard.Plan
 module Pipeline = Tl_core.Pipeline
 module P = Protocol
@@ -39,16 +36,6 @@ let g_max_batch = Metrics.gauge "serve_max_batch"
 let h_latency = Metrics.histogram "serve_request_seconds"
 let h_batch = Metrics.histogram "serve_batch_size"
 
-type base = {
-  b_received : int;
-  b_served : int;
-  b_rejected : int;
-  b_errors : int;
-  b_batches : int;
-  b_cache_hits : int;
-  b_cache_misses : int;
-}
-
 (* One cached instance per spec key. The semi-graph is lazy so pipeline
    problems (which build their own internal views) never pay for it;
    engine kernels (flood) force it once per instance, which is what
@@ -65,7 +52,7 @@ type t = {
   queue : (int * P.request) Jobq.t;
   cache : (string, instance) Hashtbl.t;
   cache_order : string Queue.t;
-  base : base;
+  base : (Metrics.counter * int) list;  (* registry values at creation *)
   mutable max_batch : int;  (* a maximum, not a counter: kept per server *)
   mutable shutdown : bool;
 }
@@ -82,15 +69,10 @@ let create ?(config = default_config) () =
     cache = Hashtbl.create 64;
     cache_order = Queue.create ();
     base =
-      {
-        b_received = Metrics.counter_value m_received;
-        b_served = Metrics.counter_value m_served;
-        b_rejected = Metrics.counter_value m_rejected;
-        b_errors = Metrics.counter_value m_errors;
-        b_batches = Metrics.counter_value m_batches;
-        b_cache_hits = Metrics.counter_value m_cache_hits;
-        b_cache_misses = Metrics.counter_value m_cache_misses;
-      };
+      List.map
+        (fun c -> (c, Metrics.counter_value c))
+        [ m_received; m_served; m_rejected; m_errors; m_batches; m_cache_hits;
+          m_cache_misses ];
     max_batch = 0;
     shutdown = false;
   }
@@ -101,17 +83,17 @@ let shutdown_requested t = t.shutdown
 let stats t =
   let topo_h, topo_m = Topology.cache_stats () in
   let plan_h, plan_m = Plan.cache_stats () in
+  let delta c = Metrics.counter_value c - List.assq c t.base in
   [
-    ("received", Metrics.counter_value m_received - t.base.b_received);
-    ("served", Metrics.counter_value m_served - t.base.b_served);
-    ("rejected", Metrics.counter_value m_rejected - t.base.b_rejected);
-    ("errors", Metrics.counter_value m_errors - t.base.b_errors);
-    ("batches", Metrics.counter_value m_batches - t.base.b_batches);
+    ("received", delta m_received);
+    ("served", delta m_served);
+    ("rejected", delta m_rejected);
+    ("errors", delta m_errors);
+    ("batches", delta m_batches);
     ("max_batch", t.max_batch);
     ("queue_depth", t.cfg.depth);
-    ("serve:cache_hit", Metrics.counter_value m_cache_hits - t.base.b_cache_hits);
-    ( "serve:cache_miss",
-      Metrics.counter_value m_cache_misses - t.base.b_cache_misses );
+    ("serve:cache_hit", delta m_cache_hits);
+    ("serve:cache_miss", delta m_cache_misses);
     ("topo:cache_hit", topo_h);
     ("topo:cache_miss", topo_m);
     ("plan:cache_hit", plan_h);
@@ -120,30 +102,12 @@ let stats t =
 
 (* ---------- instances ---------- *)
 
-(* Same family dispatch as the CLI's build_instance, so a daemon request
-   and a one-shot CLI run over the same spec see the same graph. *)
-let build_graph = function
-  | P.Edges { n; edges; _ } -> Graph.of_edges ~n edges
-  | P.Family { family; n; seed; a; delta } -> (
-    match family with
-    | "random-tree" -> Gen.random_tree ~n ~seed
-    | "balanced-tree" -> Gen.balanced_regular_tree ~delta ~n
-    | "path" -> Gen.path n
-    | "star" -> Gen.star n
-    | "caterpillar" -> Gen.caterpillar ~spine:(max 1 (n / 4)) ~legs:3
-    | "power-law" -> Gen.power_law_tree ~n ~seed
-    | "forest-union" -> Gen.forest_union ~n ~arboricity:a ~seed
-    | "planar" ->
-      Gen.triangulated_grid (max 2 (int_of_float (Float.sqrt (float_of_int n))))
-    | "grid" ->
-      let side = max 1 (int_of_float (Float.sqrt (float_of_int n))) in
-      Gen.grid side side
-    | other -> failwith (Printf.sprintf "unknown family %s" other))
-
 let build_instance spec =
-  let graph = build_graph spec in
-  let seed =
-    match spec with P.Family { seed; _ } | P.Edges { seed; _ } -> seed
+  let graph, seed =
+    match spec with
+    | P.Edges { n; edges; seed } -> (Graph.of_edges ~n edges, seed)
+    | P.Family { family; n; seed; a; delta } ->
+      (Gen.of_family family ~n ~seed ~a ~delta, seed)
   in
   (* same ID derivation as the CLI: permuted on seed + 1 *)
   let ids = Ids.permuted ~n:(Graph.n_nodes graph) ~seed:(seed + 1) in
@@ -171,14 +135,18 @@ let instance t spec =
 
 (* ---------- validation ---------- *)
 
-let known_problems =
-  [
-    ("flood", [ "transform"; "direct"; "baseline"; "chaos" ]);
-    ("mis", [ "transform"; "direct"; "chaos" ]);
-    ("coloring", [ "transform"; "direct" ]);
-    ("matching", [ "transform"; "direct"; "baseline" ]);
-    ("edge-coloring", [ "transform"; "direct"; "baseline" ]);
-  ]
+(* What a request runs: a row of the pipeline table, or one of the two
+   daemon-only kernels — flooding (any pipeline method name) and a
+   fault-schedule run of flood or MIS. *)
+type job = Row of Pipeline.row | Flood | Chaos
+
+let job_of (r : P.request) =
+  match (r.problem, r.method_) with
+  | ("flood" | "mis"), "chaos" -> Ok Chaos
+  | "flood", ("transform" | "direct" | "baseline") -> Ok Flood
+  | "flood", m -> Error (Printf.sprintf "problem \"flood\" has no method %S" m)
+  | problem, method_ ->
+    Result.map (fun row -> Row row) (Pipeline.lookup ~problem ~method_)
 
 (* The daemon accepts the inline fault-spec forms only (compact grammar
    or inline JSON) — never a client-named file path. *)
@@ -192,114 +160,64 @@ let parse_faults = function
     else Tl_fault.Schedule.of_spec s
 
 let validate t (r : P.request) =
+  let ( let* ) = Result.bind in
   let n = P.spec_n r.spec in
-  match List.assoc_opt r.problem known_problems with
-  | None -> Error (Printf.sprintf "unknown problem %S" r.problem)
-  | Some methods when not (List.mem r.method_ methods) ->
-    Error
-      (Printf.sprintf "problem %S has no method %S" r.problem r.method_)
-  | Some _ -> (
-    if n > t.cfg.max_n then
+  let* job = job_of r in
+  let* () =
+    match (r.spec, job) with
+    | P.Family { family; _ }, _ when not (List.mem family Gen.families) ->
+      Error (Printf.sprintf "unknown family %S" family)
+    | _ when n > t.cfg.max_n ->
       Error
         (Printf.sprintf "instance size %d exceeds the admission limit %d" n
            t.cfg.max_n)
-    else
-      match
-        if r.method_ = "chaos" then Result.map ignore (parse_faults r.faults)
-        else Ok ()
-      with
-      | Error msg -> Error msg
-      | Ok () ->
-        P.resolve_knobs ~engine:r.engine ~shards:r.shards ~pool:r.pool ~n)
+    | _, Chaos -> Result.map ignore (parse_faults r.faults)
+    | _ -> Ok ()
+  in
+  let* mode = P.resolve_knobs ~engine:r.engine ~shards:r.shards ~pool:r.pool ~n in
+  Ok (job, mode)
 
 (* ---------- execution ---------- *)
 
-let with_knobs ~mode ~shards ~pool f =
-  let sm = !Engine.default_mode
-  and ss = !Engine.default_shards
-  and sp = !Pool.default_workers in
-  Engine.default_mode := mode;
-  Engine.default_shards := shards;
-  Pool.default_workers := pool;
-  Fun.protect
-    ~finally:(fun () ->
-      Engine.default_mode := sm;
-      Engine.default_shards := ss;
-      Pool.default_workers := sp)
-    f
+(* The measured engine rounds of a request: every engine run inside the
+   request span is one "engine:<label>" descendant carrying its rounds. *)
+let rec engine_rounds span =
+  let own =
+    if String.starts_with ~prefix:"engine:" (Span.name span) then
+      Option.value ~default:0 (List.assoc_opt "rounds" (Span.counters span))
+    else 0
+  in
+  List.fold_left (fun acc c -> acc + engine_rounds c) own (Span.children span)
 
-(* Collect every engine trace of [f] to report the measured engine
-   rounds per request (other subscribers keep receiving them). *)
-let with_trace_collector f =
-  let traces = ref [] in
-  let sub = Tl_engine.Driver.subscribe (fun tr -> traces := tr :: !traces) in
-  Fun.protect
-    ~finally:(fun () -> Tl_engine.Driver.unsubscribe sub)
-    (fun () ->
-      let result = f () in
-      (result, List.rev !traces))
-
-let must_tree name g =
-  if not (Props.is_tree g) then
-    failwith (name ^ " via Theorem 12 needs a tree instance")
-
-type partial = {
-  p_digest : string;
-  p_rounds : int;
-  p_ledger : (string * int) list;
-  p_valid : bool;
-}
-
-let of_report ~graph (r : _ Pipeline.report) =
-  {
-    p_digest = P.digest_labeling ~graph r.Pipeline.labeling;
-    p_rounds = r.Pipeline.total_rounds;
-    p_ledger = Round_cost.phases r.Pipeline.cost;
-    p_valid = r.Pipeline.valid;
-  }
-
-let of_raw ~graph ~problem labeling cost =
-  {
-    p_digest = P.digest_labeling ~graph labeling;
-    p_rounds = Round_cost.total cost;
-    p_ledger = Round_cost.phases cost;
-    p_valid = Tl_problems.Nec.is_valid problem graph labeling;
-  }
+(* A job's result; [exec] stamps the engine rounds, cache flag and span. *)
+let solved ~digest ~rounds ~ledger ~valid =
+  { P.digest; total_rounds = rounds; ledger; valid; engine_rounds = 0;
+    cache_hit = false; span = None }
 
 (* Flooding to a fixed point from node 0 — the repo's engine-kernel
    workhorse, served straight off the cached semi-graph: warm requests
    hit Topology.compile_cached (and Plan.build_cached in shard mode). *)
 let flood inst =
-  let sg = Lazy.force inst.sg in
-  let topo = Topology.compile_cached sg in
+  let topo = Topology.compile_cached (Lazy.force inst.sg) in
   let n = Graph.n_nodes inst.graph in
-  let tr = Trace.create ~label:"serve:flood" () in
   let o =
-    Engine.run_until_stable ~trace:tr ~topo
+    Engine.run_until_stable ~label:"serve:flood" ~topo
       ~init:(fun v -> v = 0)
       ~step:(fun ~round:_ ~node:_ s ~neighbors ->
         s || List.exists (fun (_, _, su) -> su) neighbors)
       ~equal:Bool.equal ~max_rounds:(n + 1) ()
   in
-  Span.add_trace tr;
   let cost = Round_cost.create () in
   Round_cost.charge cost "flood" o.Engine.rounds;
-  {
-    p_digest = P.digest_array (fun b -> if b then 1 else 0) o.Engine.states;
-    p_rounds = o.Engine.rounds;
-    p_ledger = Round_cost.phases cost;
-    p_valid = true;
-  }
+  solved
+    ~digest:(P.digest_array (fun b -> if b then 1 else 0) o.Engine.states)
+    ~rounds:o.Engine.rounds ~ledger:(Round_cost.phases cost) ~valid:true
 
 (* A chaos run builds its own presence-masked views over the instance
    graph (crashes shrink them in place), so it must never touch the
    cached [inst.sg] — warm non-chaos requests keep their snapshot. *)
 let chaos (r : P.request) inst =
-  let schedule =
-    match parse_faults r.faults with
-    | Ok s -> s
-    | Error msg -> failwith msg
-  in
+  let schedule = Result.fold ~ok:Fun.id ~error:failwith (parse_faults r.faults) in
   let problem =
     match r.problem with
     | "flood" -> Tl_fault.Chaos.Flood { source = 0 }
@@ -311,50 +229,28 @@ let chaos (r : P.request) inst =
   Span.add_counter "fault:drops" rep.Tl_fault.Chaos.drops;
   Span.add_counter "fault:repairs" rep.Tl_fault.Chaos.repairs;
   Span.add_counter "fault:relabeled" rep.Tl_fault.Chaos.relabeled;
-  {
-    p_digest = Printf.sprintf "%016Lx" rep.Tl_fault.Chaos.digest;
-    p_rounds = rep.Tl_fault.Chaos.rounds;
-    p_ledger =
+  solved
+    ~digest:(Printf.sprintf "%016Lx" rep.Tl_fault.Chaos.digest)
+    ~rounds:rep.Tl_fault.Chaos.rounds
+    ~ledger:
       [
         ("chaos", rep.Tl_fault.Chaos.rounds);
         ("repair", rep.Tl_fault.Chaos.repairs);
-      ];
-    p_valid = rep.Tl_fault.Chaos.valid;
-  }
+      ]
+    ~valid:rep.Tl_fault.Chaos.valid
 
-let dispatch (r : P.request) inst =
-  let g = inst.graph and ids = inst.ids in
-  let a = match r.spec with P.Family { a; _ } -> a | P.Edges _ -> 1 in
-  let k = r.k in
-  match (r.problem, r.method_) with
-  | ("flood" | "mis"), "chaos" -> chaos r inst
-  | "flood", _ -> flood inst
-  | "mis", "transform" ->
-    must_tree "mis" g;
-    of_report ~graph:g (Pipeline.mis_on_tree ?k ~tree:g ~ids ())
-  | "coloring", "transform" ->
-    must_tree "coloring" g;
-    of_report ~graph:g (Pipeline.coloring_on_tree ?k ~tree:g ~ids ())
-  | "matching", "transform" ->
-    of_report ~graph:g (Pipeline.matching_on_graph ?k ~graph:g ~a ~ids ())
-  | "edge-coloring", "transform" ->
-    of_report ~graph:g (Pipeline.edge_coloring_on_graph ?k ~graph:g ~a ~ids ())
-  | "mis", "direct" -> of_report ~graph:g (Pipeline.mis_direct ~graph:g ~ids)
-  | "coloring", "direct" ->
-    of_report ~graph:g (Pipeline.coloring_direct ~graph:g ~ids)
-  | "matching", "direct" ->
-    of_report ~graph:g (Pipeline.matching_direct ~graph:g ~ids)
-  | "edge-coloring", "direct" ->
-    of_report ~graph:g (Pipeline.edge_coloring_direct ~graph:g ~ids)
-  | "matching", "baseline" ->
-    must_tree "baseline matching" g;
-    let labeling, cost = Tl_core.Baseline.matching_on_tree ~tree:g ~ids in
-    of_raw ~graph:g ~problem:Tl_problems.Matching.problem labeling cost
-  | "edge-coloring", "baseline" ->
-    must_tree "baseline edge-coloring" g;
-    let labeling, cost = Tl_core.Baseline.edge_coloring_on_tree ~tree:g ~ids in
-    of_raw ~graph:g ~problem:Tl_problems.Edge_coloring.problem labeling cost
-  | p, m -> failwith (Printf.sprintf "unknown problem/method %s/%s" p m)
+let dispatch (r : P.request) job inst =
+  match job with
+  | Chaos -> chaos r inst
+  | Flood -> flood inst
+  | Row row -> (
+    let a = match r.spec with P.Family { a; _ } -> a | P.Edges _ -> 1 in
+    match Pipeline.solve row ?k:r.k ~graph:inst.graph ~a ~ids:inst.ids () with
+    | Ok (Pipeline.Solved rep) ->
+      solved ~digest:(P.digest_labeling ~graph:inst.graph rep.labeling)
+        ~rounds:rep.total_rounds ~ledger:(Round_cost.phases rep.cost)
+        ~valid:rep.valid
+    | Error msg -> failwith msg)
 
 let error_message = function
   | Failure msg -> msg
@@ -368,28 +264,22 @@ exception Inadmissible of string
 (* Execute one validated request under its knobs, inside a per-request
    span whose report (phases, round charges, engine child spans) goes
    back to the client on demand. *)
-let exec t (r : P.request) ~mode =
+let exec t (r : P.request) ~job ~mode =
   let inst, cache_hit = instance t r.spec in
   (* grid/planar/caterpillar build close to — not exactly — the spec's
      n, so the shard bound admitted against the declared n must be
      re-checked against the graph that was actually built *)
   (match mode with
-  | Engine.Shard s when s > Graph.n_nodes inst.graph ->
+  | (Engine.Shard c | Engine.Proc c) when c > Graph.n_nodes inst.graph ->
     raise
       (Inadmissible
          (Printf.sprintf
-            "shard count %d exceeds the built instance size %d (the spec's \
-             n = %d is approximate for this family)"
-            s (Graph.n_nodes inst.graph) (P.spec_n r.spec)))
-  | Engine.Proc p when p > Graph.n_nodes inst.graph ->
-    raise
-      (Inadmissible
-         (Printf.sprintf
-            "proc count %d exceeds the built instance size %d (the spec's \
-             n = %d is approximate for this family)"
-            p (Graph.n_nodes inst.graph) (P.spec_n r.spec)))
+            "%s count %d exceeds the built instance size %d (the spec's n = \
+             %d is approximate for this family)"
+            (match mode with Engine.Shard _ -> "shard" | _ -> "proc")
+            c (Graph.n_nodes inst.graph) (P.spec_n r.spec)))
   | _ -> ());
-  let (partial, traces), span =
+  let s, span =
     Span.run "serve:request" (fun () ->
         Span.set_attr "problem" r.problem;
         Span.set_attr "method" r.method_;
@@ -398,19 +288,11 @@ let exec t (r : P.request) ~mode =
         Span.set_attr "spec" (P.spec_key r.spec);
         Span.add_counter "serve:cache_hit" (if cache_hit then 1 else 0);
         Span.add_counter "serve:cache_miss" (if cache_hit then 0 else 1);
-        with_knobs ~mode ~shards:r.shards ~pool:r.pool (fun () ->
-            with_trace_collector (fun () -> dispatch r inst)))
-  in
-  let engine_rounds =
-    List.fold_left (fun acc tr -> acc + (Trace.metrics tr).Trace.rounds) 0
-      traces
+        Engine.with_knobs ~mode ~workers:r.pool (fun () -> dispatch r job inst))
   in
   {
-    P.digest = partial.p_digest;
-    total_rounds = partial.p_rounds;
-    ledger = partial.p_ledger;
-    valid = partial.p_valid;
-    engine_rounds;
+    s with
+    P.engine_rounds = engine_rounds span;
     cache_hit;
     span = (if r.want_span then Some (Report.to_json span) else None);
   }
@@ -448,8 +330,8 @@ let exec_admitted t (r : P.request) =
   let t0 = now () in
   match validate t r with
   | Error msg -> fail r ~t0 ~kind:P.Bad_request msg
-  | Ok mode -> (
-    match exec t r ~mode with
+  | Ok (job, mode) -> (
+    match exec t r ~job ~mode with
     | solved ->
       let dt = now () -. t0 in
       Metrics.incr m_served 1;
@@ -496,15 +378,24 @@ let control_response t id = function
     t.shutdown <- true;
     { P.rid = id; outcome = P.Pong }
 
-let handle_lines t lines =
+(* One cycle over a burst of framed input lines; a line the framer
+   refused as too long is answered as bad_request. *)
+let cycle t ~max_line lines =
   let lines = Array.of_list lines in
   let n = Array.length lines in
   let slots : P.response option array = Array.make n None in
   let controls = ref [] in
   (* admission *)
   Array.iteri
-    (fun i line ->
-      match Json.parse line with
+    (fun i item ->
+      match
+        match item with
+        | Json.Ndjson.Line line -> Json.parse line
+        | Json.Ndjson.Too_long ->
+          raise
+            (Json.Parse_error
+               (Printf.sprintf "request line exceeds %d bytes" max_line))
+      with
       | exception Json.Parse_error msg ->
         slots.(i) <-
           Some { P.rid = ""; outcome = P.Error (P.Bad_request, msg) }
@@ -574,40 +465,54 @@ let handle_lines t lines =
   Array.to_list slots
   |> List.filter_map (Option.map (fun r -> Json.to_line (P.response_to_json r)))
 
+let handle_lines t lines =
+  cycle t ~max_line:max_int (List.map (fun l -> Json.Ndjson.Line l) lines)
+
 (* ---------- IO loops ---------- *)
 
 let rec restart_on_eintr f =
   try f () with Unix.Unix_error (Unix.EINTR, _, _) -> restart_on_eintr f
 
+(* The longest request line a connection may send: the admission limit
+   bounds a request's instance, and 64 bytes per node covers an explicit
+   edge list of a sparse graph ("[u,v]," at seven digits a side is 18
+   bytes per edge) on top of 64 KiB for everything else. *)
+let max_line_bytes cfg = 65536 + (64 * cfg.max_n)
+
 (* Socket I/O rides the process backend's transport loops: reads restart
    on EINTR and park in select on EAGAIN, writes survive partial
    delivery — one hardened implementation for daemon, client and worker
-   channels alike. *)
+   channels alike. Lines are framed by Json.Ndjson as each chunk
+   arrives, so a partial line never holds more than the bound: an
+   over-long line is answered with one bad_request, skipped up to its
+   newline, and the connection keeps serving. *)
 let run_fd t fd_in fd_out =
   let chunk = Bytes.create 65536 in
-  let tail = Buffer.create 4096 in
+  let max_line = max_line_bytes t.cfg in
+  let reader = Json.Ndjson.reader ~max_line () in
   let eof = ref false in
+  let burst = ref [] in
+  let rec take () =
+    Option.iter
+      (fun item ->
+        burst := item :: !burst;
+        take ())
+      (Json.Ndjson.next_line reader)
+  in
   let read_once () =
     let n = Tl_proc.Transport.read_some fd_in chunk 0 (Bytes.length chunk) in
-    if n = 0 then eof := true else Buffer.add_subbytes tail chunk 0 n
+    if n = 0 then begin
+      eof := true;
+      (* a final unterminated line at EOF is still a line *)
+      if Json.Ndjson.pending reader <> "" then Json.Ndjson.feed reader "\n"
+    end
+    else Json.Ndjson.feed reader (Bytes.sub_string chunk 0 n);
+    take ()
   in
   let readable_now () =
     match restart_on_eintr (fun () -> Unix.select [ fd_in ] [] [] 0.0) with
     | [ _ ], _, _ -> true
     | _ -> false
-  in
-  (* complete lines out of [tail], the partial last line kept buffered *)
-  let split_lines () =
-    let s = Buffer.contents tail in
-    let rec go start acc =
-      match String.index_from_opt s start '\n' with
-      | None ->
-        Buffer.clear tail;
-        Buffer.add_substring tail s start (String.length s - start);
-        List.rev acc
-      | Some nl -> go (nl + 1) (String.sub s start (nl - start) :: acc)
-    in
-    go 0 []
   in
   while not (!eof || t.shutdown) do
     (* block for input, then greedily take everything already available
@@ -617,20 +522,12 @@ let run_fd t fd_in fd_out =
     while (not !eof) && readable_now () do
       read_once ()
     done;
-    let lines = split_lines () in
-    let lines =
-      if !eof && Buffer.length tail > 0 then begin
-        let last = Buffer.contents tail in
-        Buffer.clear tail;
-        lines @ [ last ]
-      end
-      else lines
-    in
-    let lines = List.filter (fun l -> String.trim l <> "") lines in
+    let lines = List.rev !burst in
+    burst := [];
     if lines <> [] then
       List.iter
         (fun resp -> Tl_proc.Transport.write_string fd_out resp)
-        (handle_lines t lines)
+        (cycle t ~max_line lines)
   done
 
 let serve_stdio t = run_fd t Unix.stdin Unix.stdout

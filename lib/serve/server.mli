@@ -20,7 +20,8 @@
     until input is available, greedily read every complete line already
     buffered, then hand the burst to {!handle_lines}. A cycle
 
-    + parses each line; malformed JSON or an unknown/invalid request is
+    + parses each line; malformed JSON, an over-long line or an
+      unknown/invalid request (problem, method, family or knobs) is
       answered immediately with a [bad_request] error;
     + admits valid requests to the job queue — a request arriving on a
       full queue is answered immediately with a structured [rejected]
@@ -79,8 +80,10 @@ val handle_lines : t -> string list -> string list
 val run_fd : t -> Unix.file_descr -> Unix.file_descr -> unit
 (** Serve one connection: read ndjson requests from the first
     descriptor, write responses to the second, until EOF or a shutdown
-    request. A final unterminated line at EOF is processed as a line.
-    Neither descriptor is closed. *)
+    request. A final unterminated line at EOF is processed as a line. A
+    line longer than [64 KiB + 64 bytes × max_n] is answered with one
+    [bad_request] and skipped up to its newline; the connection keeps
+    serving. Neither descriptor is closed. *)
 
 val serve_stdio : t -> unit
 (** [run_fd] over stdin/stdout — the pipe-friendly daemon mode. *)

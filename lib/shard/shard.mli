@@ -79,7 +79,7 @@ val fault_drop_hook : (round:int -> src:int -> dst:int -> bool) option ref
     exactly like every other backend. *)
 
 val run :
-  ?shards:int ->
+  shards:int ->
   ?pool:int ->
   ?sched:Tl_engine.Engine.scheduling ->
   ?equal:('state -> 'state -> bool) ->
@@ -93,12 +93,11 @@ val run :
   unit ->
   'state Tl_engine.Engine.outcome
 (** [Engine.run ~mode:(Shard shards)] with the pool width scoped to
-    [pool] for the duration of the call. [shards] defaults to
-    {!Tl_engine.Engine.default_shards}; [pool] defaults to the ambient
-    {!Tl_engine.Pool.default_workers}. *)
+    [pool] for the duration of the call ({!Tl_engine.Engine.with_knobs});
+    [pool] defaults to the ambient {!Tl_engine.Pool.default_workers}. *)
 
 val run_until_stable :
-  ?shards:int ->
+  shards:int ->
   ?pool:int ->
   ?sched:Tl_engine.Engine.scheduling ->
   ?trace:Tl_engine.Trace.t ->
@@ -112,7 +111,7 @@ val run_until_stable :
   'state Tl_engine.Engine.outcome
 
 val run_rounds :
-  ?shards:int ->
+  shards:int ->
   ?pool:int ->
   ?sched:Tl_engine.Engine.scheduling ->
   ?equal:('state -> 'state -> bool) ->

@@ -12,12 +12,7 @@ let proper_coloring sg ~ids =
   (* One compiled snapshot serves the whole reduction chain: Linial runs
      on the engine, and the greedy reductions read adjacency through the
      CSR rows instead of re-deriving it from the semi-graph every call. *)
-  let t0 = Unix.gettimeofday () in
-  let topo, cache_hit = Tl_engine.Topology.compile_cached_stat sg in
-  let compile_s = Unix.gettimeofday () -. t0 in
-  Tl_obs.Span.add_counter
-    (if cache_hit then "topo:cache_hit" else "topo:cache_miss")
-    1;
+  let topo, compile_s, cache_hit = Tl_local.Runtime.compile sg in
   let max_degree = Tl_engine.Topology.max_degree topo in
   let colors = Array.make n (-1) in
   List.iter (fun v -> colors.(v) <- ids.(v)) nodes;

@@ -116,21 +116,13 @@ let reduce_topo_with ~compile_s ~compile_cached ~topo ~nodes ~colors ~palette
       let x, value = find_x 0 in
       (x * q) + value
     in
-    (* Round-number-driven schedule: must re-step every node each round.
-       Bypasses Runtime (the topology is caller-compiled), so bridge the
-       trace into the ambient span here. *)
-    let trace =
-      if Tl_obs.Span.active () then
-        Some (Tl_engine.Trace.create ~label:"linial.color" ())
-      else None
-    in
+    (* Round-number-driven schedule: must re-step every node each round. *)
     let o =
-      Tl_engine.Engine.run_rounds ?trace ~label:"linial.color"
+      Tl_engine.Engine.run_rounds ~label:"linial.color"
         ~sched:Tl_engine.Engine.Full_scan ~compile_s ~compile_cached ~topo
         ~init:(fun v -> colors.(v))
         ~step ~rounds:n_rounds ()
     in
-    Option.iter Tl_obs.Span.add_trace trace;
     List.iter (fun v -> colors.(v) <- o.Tl_engine.Engine.states.(v)) nodes;
     let q_last, _ = sched.(n_rounds - 1) in
     (q_last * q_last, n_rounds)

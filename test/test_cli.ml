@@ -175,6 +175,17 @@ let test_knob_validation_usage_errors () =
   usage "--engine shard --shards 50 --n 20"
     "shard count 50 exceeds the instance size n = 20";
   usage "--engine shard:50 --n 20" "shard count 50 exceeds";
+  (* unknown names in the problem and family tables *)
+  usage "--problem frob" "unknown problem \"frob\"";
+  usage "--problem mis --method baseline" "problem \"mis\" has no method";
+  usage "--family frob" "unknown family \"frob\"";
+  (* chaos goes through the same knob admission as solve *)
+  let code, _, stderr =
+    run_cmd (Printf.sprintf "%s chaos --engine shard:50 --n 20" cli)
+  in
+  check_int "chaos over-sharding exits 124" 124 code;
+  check "chaos names the shard count" true
+    (contains ~needle:"shard count 50 exceeds" stderr);
   (* the same over-sharding is fine when the engine is not sharded *)
   let code, stdout, _ =
     run_cmd
@@ -183,6 +194,28 @@ let test_knob_validation_usage_errors () =
   in
   check_int "seq ignores the shard knob" 0 code;
   check "solved" true (contains ~needle:"valid:       true" stdout)
+
+(* A bare --engine proc takes its worker count from --shards, exactly
+   like --engine shard: every engine run of the solve records proc:2. *)
+let test_proc_honours_shards () =
+  let trace = Filename.temp_file "tl_trace" ".json" in
+  let code, _, _ =
+    run_cmd
+      (Printf.sprintf
+         "%s solve --problem mis --family random-tree --n 200 --engine proc \
+          --shards 2 --trace %s"
+         cli trace)
+  in
+  check_int "exit 0" 0 code;
+  let runs = Option.value ~default:[] (Json.to_list (Json.parse_file trace)) in
+  Sys.remove trace;
+  check "some engine runs traced" true (runs <> []);
+  List.iter
+    (fun run ->
+      Alcotest.(check (option string))
+        "trace mode" (Some "proc:2")
+        (Option.bind (Json.member "mode" run) Json.to_str))
+    runs
 
 (* ---------- regress.exe ---------- *)
 
@@ -295,6 +328,8 @@ let () =
             test_bad_engine_is_usage_error;
           Alcotest.test_case "knob cross-validation -> usage errors" `Quick
             test_knob_validation_usage_errors;
+          Alcotest.test_case "--engine proc honours --shards" `Quick
+            test_proc_honours_shards;
         ] );
       ( "regress",
         [

@@ -157,6 +157,25 @@ let test_ndjson_parse_error () =
     "stream continues after error" true
     (Json.Ndjson.next r = Some (Json.Obj [ ("ok", Json.Bool true) ]))
 
+(* A bounded reader reports an over-long line once — before its newline
+   arrives — drops it up to the newline, and keeps framing after it; a
+   complete over-long line fed in one chunk is reported the same way. *)
+let test_ndjson_max_line () =
+  let module N = Json.Ndjson in
+  let check = Alcotest.(check bool) in
+  let r = N.reader ~max_line:8 () in
+  N.feed r "{\"a\":1}\n0123456789";
+  check "short line passes" true (N.next_line r = Some (N.Line "{\"a\":1}"));
+  check "over-long partial reported" true (N.next_line r = Some N.Too_long);
+  N.feed r "abcdef";
+  check "reported once" true (N.next_line r = None);
+  Alcotest.(check string) "dropped, not buffered" "" (N.pending r);
+  N.feed r "xyz\n[1]\n0123456789abc\n2\n";
+  check "framing resumes" true (N.next_line r = Some (N.Line "[1]"));
+  check "complete over-long line" true (N.next_line r = Some N.Too_long);
+  check "next line intact" true (N.next r = Some (Json.Num 2.));
+  check "drained" true (N.next_line r = None)
+
 let test_read_ndjson () =
   Alcotest.(check bool)
     "unterminated last line" true
@@ -470,6 +489,7 @@ let () =
           Alcotest.test_case "parse error recovery" `Quick
             test_ndjson_parse_error;
           Alcotest.test_case "read_ndjson" `Quick test_read_ndjson;
+          Alcotest.test_case "max_line bound" `Quick test_ndjson_max_line;
           QCheck_alcotest.to_alcotest prop_ndjson_roundtrip;
         ] );
       ( "span",

@@ -560,11 +560,8 @@ let test_mode_strings () =
         true
         (Engine.mode_of_string (Engine.mode_to_string m) = m))
     [ Engine.Proc 1; Engine.Proc 2; Engine.Proc 16 ];
-  let saved = !Engine.default_procs in
-  Engine.default_procs := 6;
-  check "bare \"proc\" reads default_procs" true
-    (Engine.mode_of_string "proc" = Engine.Proc 6);
-  Engine.default_procs := saved;
+  check "bare \"proc\" takes the explicit count" true
+    (Engine.mode_of_string ~count:6 "proc" = Engine.Proc 6);
   List.iter
     (fun s ->
       check ("rejects " ^ s) true

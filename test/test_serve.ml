@@ -173,11 +173,9 @@ let test_resolve_knobs () =
   check "seq" true (ok "seq" 4 1 10 = Engine.Seq);
   check "par:2" true (ok "par:2" 4 1 10 = Engine.Par 2);
   check "inline shard count wins" true (ok "shard:3" 4 1 10 = Engine.Shard 3);
-  (* bare "shard" resolves against the request's shards knob, and the
-     global default is untouched afterwards *)
-  let saved = !Engine.default_shards in
+  (* bare "shard"/"proc" resolve against the request's shards knob *)
   check "bare shard uses the knob" true (ok "shard" 7 1 10 = Engine.Shard 7);
-  check_int "default_shards untouched" saved !Engine.default_shards;
+  check "bare proc uses the knob" true (ok "proc" 2 1 10 = Engine.Proc 2);
   check "shard count over n" true
     (Tl_serve.Protocol.resolve_knobs ~engine:"shard" ~shards:11 ~pool:1 ~n:10
     |> Result.is_error);
@@ -218,17 +216,13 @@ let build_ref_graph = function
     | "forest-union" -> Gen.forest_union ~n ~arboricity:a ~seed
     | other -> failwith ("unexpected test family " ^ other))
 
-let with_ref_knobs ~mode ~shards ~pool f =
-  let sm = !Engine.default_mode
-  and ss = !Engine.default_shards
-  and sp = !Pool.default_workers in
+let with_ref_knobs ~mode ~pool f =
+  let sm = !Engine.default_mode and sp = !Pool.default_workers in
   Engine.default_mode := mode;
-  Engine.default_shards := shards;
   Pool.default_workers := pool;
   Fun.protect
     ~finally:(fun () ->
       Engine.default_mode := sm;
-      Engine.default_shards := ss;
       Pool.default_workers := sp)
     f
 
@@ -239,7 +233,7 @@ let reference (r : P.request) ~mode =
   in
   let ids = Ids.permuted ~n:(Graph.n_nodes g) ~seed:(seed + 1) in
   let a = match r.P.spec with P.Family { a; _ } -> a | P.Edges _ -> 1 in
-  with_ref_knobs ~mode ~shards:r.P.shards ~pool:r.P.pool (fun () ->
+  with_ref_knobs ~mode ~pool:r.P.pool (fun () ->
       match (r.P.problem, r.P.method_) with
       | "flood", _ ->
         let topo = Topology.compile (Semi_graph.of_graph g) in
@@ -437,6 +431,7 @@ let test_cycle_errors_and_controls () =
     [
       "{oops";
       "{\"v\":1,\"id\":\"u\",\"problem\":\"frobnicate\",\"span\":false}";
+      "{\"v\":1,\"id\":\"f\",\"graph\":{\"family\":\"frob\",\"n\":40}}";
       "{\"v\":1,\"id\":\"p\",\"cmd\":\"ping\"}";
       "{\"v\":1,\"id\":\"s\",\"cmd\":\"stats\"}";
       req_line ~id:"good" ();
@@ -444,7 +439,7 @@ let test_cycle_errors_and_controls () =
     ]
   in
   let resps = List.map parse_resp (Server.handle_lines server lines) in
-  check_int "every line answered" 6 (List.length resps);
+  check_int "every line answered" 7 (List.length resps);
   (match (List.nth resps 0).P.outcome with
   | P.Error (P.Bad_request, _) -> ()
   | _ -> Alcotest.fail "malformed json must be bad_request");
@@ -453,16 +448,21 @@ let test_cycle_errors_and_controls () =
     check "names the unknown problem" true
       (msg = "unknown problem \"frobnicate\"")
   | _ -> Alcotest.fail "unknown problem must be bad_request");
-  check "ping answered" true ((List.nth resps 2).P.outcome = P.Pong);
-  (match (List.nth resps 3).P.outcome with
+  (* an unknown family is refused at admission, never queued *)
+  (match (List.nth resps 2).P.outcome with
+  | P.Error (P.Bad_request, msg) ->
+    check "names the unknown family" true (msg = "unknown family \"frob\"")
+  | _ -> Alcotest.fail "unknown family must be bad_request");
+  check "ping answered" true ((List.nth resps 3).P.outcome = P.Pong);
+  (match (List.nth resps 4).P.outcome with
   | P.Stats_report kvs ->
     (* controls run after the cycle's jobs: the good request is visible *)
     check_int "stats sees the served job" 1 (List.assoc "served" kvs)
   | _ -> Alcotest.fail "stats must report");
-  (match (List.nth resps 4).P.outcome with
+  (match (List.nth resps 5).P.outcome with
   | P.Solved _ -> ()
   | _ -> Alcotest.fail "good request must be served");
-  check "shutdown acks" true ((List.nth resps 5).P.outcome = P.Pong);
+  check "shutdown acks" true ((List.nth resps 6).P.outcome = P.Pong);
   check "shutdown latched" true (Server.shutdown_requested server)
 
 let test_span_report_on_request () =
@@ -593,6 +593,28 @@ let test_subprocess_roundtrip () =
         (match input_line inc with
         | exception End_of_file -> true
         | _ -> false))
+
+(* The framer's bound: a daemon admitting n <= 100 refuses a 1 MiB
+   request line (an admissible request but for its huge id) with one
+   bad_request, drops it, and serves the next line on the same
+   connection. *)
+let test_subprocess_overlong_line () =
+  with_daemon "--max-n 100" (fun inc out ->
+      output_string out
+        (req_line ~id:(String.make (1 lsl 20) 'x') ());
+      output_char out '\n';
+      output_string out (req_line ~id:"after" ());
+      output_string out "\n{\"v\":1,\"id\":\"bye\",\"cmd\":\"shutdown\"}\n";
+      flush out;
+      (match (parse_resp (input_line inc)).P.outcome with
+      | P.Error (P.Bad_request, msg) ->
+        check "names the bound" true (contains_sub msg "request line exceeds")
+      | _ -> Alcotest.fail "an over-long line must be bad_request");
+      let r = parse_resp (input_line inc) in
+      check_str "the next line is served" "after" r.P.rid;
+      check "solved" true
+        (match r.P.outcome with P.Solved _ -> true | _ -> false);
+      ignore (input_line inc))
 
 (* Deterministic subprocess backpressure: the whole burst goes down the
    pipe in one write well under PIPE_BUF, so the daemon's greedy read
@@ -811,6 +833,8 @@ let () =
             test_subprocess_roundtrip;
           Alcotest.test_case "burst backpressure" `Quick
             test_subprocess_backpressure;
+          Alcotest.test_case "over-long line refused, connection kept" `Quick
+            test_subprocess_overlong_line;
           Alcotest.test_case "metrics + tail controls" `Quick
             test_subprocess_metrics_and_tail;
           Alcotest.test_case "socket-path claiming" `Quick

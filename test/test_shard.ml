@@ -288,11 +288,8 @@ let test_mode_strings () =
         true
         (Engine.mode_of_string (Engine.mode_to_string m) = m))
     [ Engine.Shard 1; Engine.Shard 2; Engine.Shard 16 ];
-  let saved = !Engine.default_shards in
-  Engine.default_shards := 6;
-  check "bare \"shard\" reads default_shards" true
-    (Engine.mode_of_string "shard" = Engine.Shard 6);
-  Engine.default_shards := saved;
+  check "bare \"shard\" takes the explicit count" true
+    (Engine.mode_of_string ~count:6 "shard" = Engine.Shard 6);
   List.iter
     (fun s ->
       check ("rejects " ^ s) true
