@@ -8,14 +8,16 @@ build:
 test:
 	dune runtest
 
-# Source size per library: .ml + .mli lines under each lib/* directory,
-# then the total. Each change states its net line count per library.
+# Source size per library: .ml + .mli lines under each lib/* directory
+# and under bin/, then the total of both. Each change states its net
+# line count per library.
 loc:
-	@for d in lib/*/; do \
+	@for d in lib/*/ bin/; do \
 	  printf '%-16s %6d\n' "$$(basename $$d)" \
 	    "$$(cat $$d*.ml $$d*.mli 2>/dev/null | wc -l)"; \
 	done
-	@printf '%-16s %6d\n' total "$$(cat lib/*/*.ml lib/*/*.mli | wc -l)"
+	@printf '%-16s %6d\n' total \
+	  "$$(cat lib/*/*.ml lib/*/*.mli bin/*.ml bin/*.mli 2>/dev/null | wc -l)"
 
 # Full experiment regeneration (slow: every table E1-E14, A, B, B6-B10).
 bench:

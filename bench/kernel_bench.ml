@@ -181,15 +181,12 @@ let run_engine () =
   let topo = Topology.compile sg in
   let ids = Ids.permuted ~n ~seed:(seed + 8) in
   (* CV 3-coloring: the repo's log*-round workhorse, executed as a state
-     machine through Runtime (hence through the engine default mode). *)
+     machine on the engine in its default mode. *)
   let parent = Tl_graph.Tree.parents_forest tree in
   let nodes = List.init n Fun.id in
   let cv3 mode =
-    let saved = !Engine.default_mode in
-    Engine.default_mode := mode;
-    Fun.protect
-      ~finally:(fun () -> Engine.default_mode := saved)
-      (fun () -> CV.color3_runtime ~sg ~nodes ~parent ~ids)
+    Engine.with_knobs ~mode (fun () ->
+        CV.color3_runtime ~sg ~nodes ~parent ~ids)
   in
   (* Flooding to a fixed point: diameter-many rounds with a shrinking
      frontier — the active-set scheduler's best case. *)
@@ -436,8 +433,9 @@ let run_pool () =
              bench_pool_widths ~reps
                ~run:(fun w ->
                  let r =
-                   Theorem1.run ~workers:w ~spec:mis_spec ~tree ~ids
-                     ~f:Tl_core.Complexity.f_linear ()
+                   Engine.with_knobs ~workers:w (fun () ->
+                       Theorem1.run ~spec:mis_spec ~tree ~ids
+                         ~f:Tl_core.Complexity.f_linear ())
                  in
                  (r.Theorem1.labeling, Tl_local.Round_cost.total r.Theorem1.cost))
                ~labels:(labels tree)
@@ -447,8 +445,9 @@ let run_pool () =
              bench_pool_widths ~reps
                ~run:(fun w ->
                  let r =
-                   Theorem2.run ~workers:w ~spec:matching_spec ~graph ~a:2 ~ids
-                     ~f:Tl_core.Complexity.f_linear ()
+                   Engine.with_knobs ~workers:w (fun () ->
+                       Theorem2.run ~spec:matching_spec ~graph ~a:2 ~ids
+                         ~f:Tl_core.Complexity.f_linear ())
                  in
                  (r.Theorem2.labeling, Tl_local.Round_cost.total r.Theorem2.cost))
                ~labels:(labels graph)
@@ -623,8 +622,9 @@ let run_shard () =
            (* The whole Theorem 12 MIS pipeline through the engine knob. *)
            let t1mis mode =
              let r =
-               Theorem1.run ~workers:1 ~engine:mode ~spec:mis_spec ~tree ~ids
-                 ~f:Tl_core.Complexity.f_linear ()
+               Engine.with_knobs ~mode ~workers:1 (fun () ->
+                   Theorem1.run ~spec:mis_spec ~tree ~ids
+                     ~f:Tl_core.Complexity.f_linear ())
              in
              ( List.init (Graph.n_half_edges tree)
                  (Labeling.get r.Theorem1.labeling),

@@ -416,7 +416,7 @@ let chaos problem family n seed a delta engine shards pool faults trace
       | `Flood -> Chaos.Flood { source = 0 }
       | `Mis -> Chaos.Mis { ids = Ids.permuted ~n:real_n ~seed:(seed + 1) }
     in
-    let r = Chaos.run ~mode ~graph:g ~problem:workload ~schedule () in
+    let r = Chaos.run ~graph:g ~problem:workload ~schedule () in
     Printf.printf "problem:     %s under faults\n" r.Chaos.problem;
     Printf.printf "engine:      %s\n" r.Chaos.mode;
     Printf.printf "nodes:       %d (%d surviving)\n" r.Chaos.n r.Chaos.survivors;

@@ -32,7 +32,8 @@ let sched spec =
   | Error e -> failwith (Printf.sprintf "bad spec %S: %s" spec e)
 
 let chaos ~mode ~graph ~problem spec =
-  Chaos.run ~mode ~graph ~problem ~schedule:(sched spec) ()
+  Engine.with_knobs ~mode @@ fun () ->
+  Chaos.run ~graph ~problem ~schedule:(sched spec) ()
 
 (* determinism = identical applied log, repair counts and digest *)
 let same (a : Chaos.report) (b : Chaos.report) =

@@ -54,10 +54,12 @@ let () =
   let p4 = flood (Engine.Proc 4) in
 
   (* 2. Theorem 12 MIS through the full pipeline under proc:4 *)
-  let proc_mis =
-    Theorem1.run ~engine:(Engine.Proc 4) ~spec:mis_spec ~tree ~ids
-      ~f:Tl_core.Complexity.f_linear ()
+  let mis mode =
+    Engine.with_knobs ~mode (fun () ->
+        Theorem1.run ~spec:mis_spec ~tree ~ids
+          ~f:Tl_core.Complexity.f_linear ())
   in
+  let proc_mis = mis (Engine.Proc 4) in
 
   (* 3. crash containment: a step function that throws on a mid-run
      round must surface as Failure with no worker left behind *)
@@ -88,10 +90,7 @@ let () =
   pass "flood digest proc:2 = seq" (p2 = s1);
   pass "flood digest proc:4 = seq" (p4 = s1);
 
-  let seq_mis =
-    Theorem1.run ~engine:Engine.Seq ~spec:mis_spec ~tree ~ids
-      ~f:Tl_core.Complexity.f_linear ()
-  in
+  let seq_mis = mis Engine.Seq in
   let labels r =
     List.init (Graph.n_half_edges tree) (Labeling.get r.Theorem1.labeling)
   in

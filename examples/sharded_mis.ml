@@ -16,7 +16,6 @@ module Labeling = Tl_problems.Labeling
 module Round_cost = Tl_local.Round_cost
 module Engine = Tl_engine.Engine
 module Theorem1 = Tl_core.Theorem1
-module Shard = Tl_shard.Shard
 
 let mis_spec =
   {
@@ -31,17 +30,15 @@ let () =
   let ids = Ids.permuted ~n ~seed:7 in
   Printf.printf "instance: random tree, n = %d\n" n;
 
-  (* 1. the reference: Theorem 12 MIS under the sequential stepper *)
-  let seq =
-    Theorem1.run ~engine:Engine.Seq ~spec:mis_spec ~tree ~ids
-      ~f:Tl_core.Complexity.f_linear ()
+  (* 1. the reference: Theorem 12 MIS under the sequential stepper;
+     2. the same pipeline on the sharded backend, S = 4 — the engine
+     knob is scoped around the whole run *)
+  let mis mode =
+    Engine.with_knobs ~mode (fun () ->
+        Theorem1.run ~spec:mis_spec ~tree ~ids
+          ~f:Tl_core.Complexity.f_linear ())
   in
-
-  (* 2. the same pipeline on the sharded backend, S = 4 *)
-  let sharded =
-    Theorem1.run ~engine:(Engine.Shard 4) ~spec:mis_spec ~tree ~ids
-      ~f:Tl_core.Complexity.f_linear ()
-  in
+  let seq = mis Engine.Seq and sharded = mis (Engine.Shard 4) in
 
   (* 3. parity: labelings and round ledgers must be bit-identical *)
   let labels r =
@@ -59,12 +56,12 @@ let () =
     (Round_cost.phases sharded.Theorem1.cost);
   assert (same_labels && same_ledger);
 
-  (* 4. the backend is also callable directly, composing with the pool *)
+  (* 4. a single engine run can pick the backend per call *)
   let sg = Tl_graph.Semi_graph.of_graph tree in
   let topo = Tl_engine.Topology.compile sg in
   let flood shards =
     let o =
-      Shard.run_until_stable ~shards ~pool:1 ~topo
+      Engine.run_until_stable ~mode:(Engine.Shard shards) ~topo
         ~init:(fun v -> v = 0)
         ~step:(fun ~round:_ ~node:_ s ~neighbors ->
           s || List.exists (fun (_, _, su) -> su) neighbors)

@@ -17,51 +17,19 @@ let star_schedule tree ~ids =
           (Rake_compress.decomposition_rounds rc);
         rc)
   in
-  let n = Graph.n_nodes tree in
+  let f_index, star_j =
+    Span.with_span "forest-coloring" (fun () ->
+        (* k = 2 guarantees at most two higher neighbors per node *)
+        let f_index, star_j, cv_rounds =
+          Tl_decompose.Arb_decompose.forest_stars tree ~ids ~forests:2
+            ~lower:(Rake_compress.lower_endpoint rc)
+            ~higher:(Rake_compress.higher_endpoint rc)
+            ~in_class:(fun _ -> true)
+        in
+        Round_cost.charge cost "forest-3-coloring" cv_rounds;
+        (f_index, star_j))
+  in
   let m = Graph.n_edges tree in
-  let f_index = Array.make m 0 in
-  let next = Array.make n 1 in
-  Graph.iter_edges
-    (fun e _ ->
-      let lo = Rake_compress.lower_endpoint rc e in
-      f_index.(e) <- next.(lo);
-      next.(lo) <- next.(lo) + 1;
-      (* k = 2 guarantees at most two higher neighbors per node *)
-      assert (f_index.(e) <= 2))
-    tree;
-  let star_j = Array.make m 0 in
-  let cv_rounds = ref 0 in
-  Span.with_span "forest-coloring" (fun () ->
-  for c = 1 to 2 do
-    let parent = Array.make n (-1) in
-    let in_forest = Array.make n false in
-    Graph.iter_edges
-      (fun e _ ->
-        if f_index.(e) = c then begin
-          let lo = Rake_compress.lower_endpoint rc e in
-          let hi = Rake_compress.higher_endpoint rc e in
-          parent.(lo) <- hi;
-          in_forest.(lo) <- true;
-          in_forest.(hi) <- true
-        end)
-      tree;
-    let nodes = ref [] in
-    for v = n - 1 downto 0 do
-      if in_forest.(v) then nodes := v :: !nodes
-    done;
-    if !nodes <> [] then begin
-      let colors, rounds =
-        Tl_symmetry.Cole_vishkin.color3 ~nodes:!nodes ~parent ~ids
-      in
-      if rounds > !cv_rounds then cv_rounds := rounds;
-      Graph.iter_edges
-        (fun e _ ->
-          if f_index.(e) = c then
-            star_j.(e) <- colors.(Rake_compress.higher_endpoint rc e) + 1)
-        tree
-    end
-  done;
-  Round_cost.charge cost "forest-3-coloring" !cv_rounds);
   (* group the edges of each (c, j) family in schedule order *)
   let families = ref [] in
   for c = 2 downto 1 do

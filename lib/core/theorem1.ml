@@ -44,9 +44,9 @@ let assert_disjoint_owners tree components =
         component)
     components
 
-let run_inner ?(check_invariants = false) ?workers ?k ~spec ~tree ~ids ~f () =
+let run ?(check_invariants = false) ?k ~spec ~tree ~ids ~f () =
   let n = Graph.n_nodes tree in
-  let pool = Pool.create ?workers () in
+  let pool = Pool.create () in
   let k =
     match k with Some k -> k | None -> Complexity.choose_k ~f ~n
   in
@@ -175,7 +175,3 @@ let run_inner ?(check_invariants = false) ?workers ?k ~spec ~tree ~ids ~f () =
       end;
       Round_cost.charge cost "gather-solve(T_R)" !max_gather);
   { labeling; cost; rc; k }
-
-let run ?check_invariants ?workers ?engine ?k ~spec ~tree ~ids ~f () =
-  Tl_engine.Engine.with_knobs ?mode:engine (fun () ->
-      run_inner ?check_invariants ?workers ?k ~spec ~tree ~ids ~f ())

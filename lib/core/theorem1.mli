@@ -38,8 +38,6 @@ type 'l result = {
 
 val run :
   ?check_invariants:bool ->
-  ?workers:int ->
-  ?engine:Tl_engine.Engine.mode ->
   ?k:int ->
   spec:'l spec ->
   tree:Tl_graph.Graph.t ->
@@ -56,21 +54,19 @@ val run :
     far is valid — is asserted after the base phase and after every
     component completion ({!Tl_problems.Nec.validate_partial}).
 
-    [workers] (default {!Tl_engine.Pool.default_workers}, i.e. the CLI's
-    [--pool N]) fans the phase-3 gather-solve over that many OCaml 5
-    domains via {!Tl_engine.Pool}: each worker owns its own BFS scratch
-    and writes only the half-edges of its own (node-disjoint) components,
-    and the eccentricity maximum is committed in component order — the
-    labeling and the ledger are bit-identical to the sequential run for
-    any worker count. Under pooling with [~check_invariants:true], the
+    The phase-3 gather-solve fans over a {!Tl_engine.Pool} of
+    {!Tl_engine.Pool.default_workers} OCaml 5 domains (the CLI's
+    [--pool N]); every engine-backed step runs on
+    {!Tl_engine.Engine.default_mode}. Set both with
+    {!Tl_engine.Engine.with_knobs} around the call. Each pool worker
+    owns its own BFS scratch and writes only the half-edges of its own
+    (node-disjoint) components, and the eccentricity maximum is
+    committed in component order — the labeling and the ledger are
+    bit-identical to the sequential run for any worker count and any
+    engine mode. Under pooling with [~check_invariants:true], the
     component ownership is asserted disjoint before fan-out and the
     proof invariant is checked once after the phase instead of after
     every component.
-
-    [engine] scopes {!Tl_engine.Engine.default_mode} to the run
-    ({!Tl_engine.Engine.with_knobs}): every engine-backed step inside
-    executes on that backend, with bit-identical results — e.g.
-    [~engine:(Shard 8)] runs the whole theorem on the sharded backend.
 
     Phases charged to the ledger: ["decompose"], ["base:A(T_C)"],
     ["gather-solve(T_R)"]. Span counters under ["gather-solve"]:

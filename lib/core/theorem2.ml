@@ -46,10 +46,9 @@ let assert_disjoint_stars graph stars =
         edges)
     stars
 
-let run_inner ?(check_invariants = false) ?workers ?(rho = 2) ?k ~spec ~graph
-    ~a ~ids ~f () =
+let run ?(check_invariants = false) ?(rho = 2) ?k ~spec ~graph ~a ~ids ~f () =
   if a < 1 then invalid_arg "Theorem2.run: a < 1";
-  let pool = Pool.create ?workers () in
+  let pool = Pool.create () in
   let n = Graph.n_nodes graph in
   let k =
     match k with
@@ -123,7 +122,3 @@ let run_inner ?(check_invariants = false) ?workers ?(rho = 2) ?k ~spec ~graph
         done
       done);
   { labeling; cost; decomposition = d; k; rho }
-
-let run ?check_invariants ?workers ?engine ?rho ?k ~spec ~graph ~a ~ids ~f () =
-  Tl_engine.Engine.with_knobs ?mode:engine (fun () ->
-      run_inner ?check_invariants ?workers ?rho ?k ~spec ~graph ~a ~ids ~f ())

@@ -38,8 +38,6 @@ type 'l result = {
 
 val run :
   ?check_invariants:bool ->
-  ?workers:int ->
-  ?engine:Tl_engine.Engine.mode ->
   ?rho:int ->
   ?k:int ->
   spec:'l spec ->
@@ -56,15 +54,13 @@ val run :
     is asserted after the base phase and after each star family
     ({!Tl_problems.Nec.validate_partial}).
 
-    [workers] (default {!Tl_engine.Pool.default_workers}) fans each star
-    class [F_{i,j}] over that many OCaml 5 domains via
-    {!Tl_engine.Pool}: stars of a class are node-disjoint (asserted
-    under [check_invariants] before fan-out), classes stay strictly
-    ordered, and results are bit-identical to the sequential run for any
-    worker count.
-
-    [engine] scopes the engine mode to the run, exactly like
-    {!Tl_core.Theorem1.run}.
+    Each star class [F_{i,j}] fans over a {!Tl_engine.Pool} of
+    {!Tl_engine.Pool.default_workers} OCaml 5 domains: stars of a class
+    are node-disjoint (asserted under [check_invariants] before
+    fan-out), classes stay strictly ordered, and results are
+    bit-identical to the sequential run for any worker count and any
+    engine mode — both knobs come from {!Tl_engine.Engine.with_knobs},
+    as for {!Tl_core.Theorem1.run}.
 
     Phases charged: ["decompose"], ["forest-3-coloring"], ["base:A(G[E2])"],
     ["gather-solve(stars)"] (2 rounds per [F_{i,j}] slot, [6a] slots).

@@ -23,6 +23,51 @@ let lemma13_bound_of ~a ~k ~n =
     let r = 10.0 *. log (float_of_int n) /. log (float_of_int k /. float_of_int a) in
     int_of_float (Float.ceil (r -. 1e-9)) + 1
 
+(* Split the [in_class] edges into forests by lower endpoint (each lower
+   endpoint numbers its class edges 1, 2, ...), point every lower endpoint
+   at its higher one, 3-color each forest with Cole-Vishkin and give each
+   edge [star_j] = 1 + the color of its higher endpoint. *)
+let forest_stars graph ~ids ~forests ~lower ~higher ~in_class =
+  let n = Graph.n_nodes graph and m = Graph.n_edges graph in
+  let f_index = Array.make m 0 in
+  let next = Array.make n 1 in
+  for e = 0 to m - 1 do
+    if in_class e then begin
+      let lo = lower e in
+      f_index.(e) <- next.(lo);
+      next.(lo) <- next.(lo) + 1;
+      assert (f_index.(e) <= forests)
+    end
+  done;
+  let star_j = Array.make m 0 in
+  let cv_rounds = ref 0 in
+  for i = 1 to forests do
+    let parent = Array.make n (-1) in
+    let in_forest = Array.make n false in
+    for e = 0 to m - 1 do
+      if f_index.(e) = i then begin
+        let lo = lower e and hi = higher e in
+        parent.(lo) <- hi;
+        in_forest.(lo) <- true;
+        in_forest.(hi) <- true
+      end
+    done;
+    let nodes = ref [] in
+    for v = n - 1 downto 0 do
+      if in_forest.(v) then nodes := v :: !nodes
+    done;
+    if !nodes <> [] then begin
+      let colors, rounds =
+        Tl_symmetry.Cole_vishkin.color3 ~nodes:!nodes ~parent ~ids
+      in
+      if rounds > !cv_rounds then cv_rounds := rounds;
+      for e = 0 to m - 1 do
+        if f_index.(e) = i then star_j.(e) <- colors.(higher e) + 1
+      done
+    end
+  done;
+  (f_index, star_j, !cv_rounds)
+
 let run graph ~a ~k ~ids =
   if a < 1 then invalid_arg "Arb_decompose.run: a < 1";
   if k < 5 * a then invalid_arg "Arb_decompose.run: k < 5a";
@@ -102,51 +147,15 @@ let run graph ~a ~k ~ids =
     let u, v = Graph.edge_endpoints graph e in
     if is_higher u v then v else u
   in
-  (* F_i split: each lower endpoint colors its atypical edges 1..2a *)
-  let f_index_of = Array.make m 0 in
-  let next_color = Array.make n 1 in
-  for e = 0 to m - 1 do
-    if atypical_of.(e) then begin
-      let lo = lower_of e in
-      f_index_of.(e) <- next_color.(lo);
-      next_color.(lo) <- next_color.(lo) + 1;
-      (* the compress condition guarantees at most b atypical edges per
-         lower endpoint *)
-      assert (f_index_of.(e) <= b)
-    end
-  done;
-  (* 3-color each forest F_i with Cole-Vishkin; forests are node-disjoint
-     per i only in their edge sets, so colors are per (node, i). *)
-  let star_j = Array.make m 0 in
-  let cv_rounds = ref 0 in
-  Tl_obs.Span.with_span "cv3-forests" (fun () ->
-  for i = 1 to b do
-    (* parent pointer in F_i: lower endpoint -> higher endpoint *)
-    let parent = Array.make n (-1) in
-    let in_forest = Array.make n false in
-    for e = 0 to m - 1 do
-      if f_index_of.(e) = i then begin
-        let lo = lower_of e and hi = higher_of e in
-        parent.(lo) <- hi;
-        in_forest.(lo) <- true;
-        in_forest.(hi) <- true
-      end
-    done;
-    let nodes = ref [] in
-    for v = n - 1 downto 0 do
-      if in_forest.(v) then nodes := v :: !nodes
-    done;
-    if !nodes <> [] then begin
-      let colors, rounds =
-        Tl_symmetry.Cole_vishkin.color3 ~nodes:!nodes ~parent ~ids
-      in
-      if rounds > !cv_rounds then cv_rounds := rounds;
-      for e = 0 to m - 1 do
-        if f_index_of.(e) = i then star_j.(e) <- colors.(higher_of e) + 1
-      done
-    end
-  done;
-  Tl_obs.Span.add_counter "cv_rounds" !cv_rounds);
+  let f_index_of, star_j, cv_rounds =
+    Tl_obs.Span.with_span "cv3-forests" (fun () ->
+        let ((_, _, cv) as r) =
+          forest_stars graph ~ids ~forests:b ~lower:lower_of ~higher:higher_of
+            ~in_class:(Array.get atypical_of)
+        in
+        Tl_obs.Span.add_counter "cv_rounds" cv;
+        r)
+  in
   {
     graph;
     a;
@@ -158,7 +167,7 @@ let run graph ~a ~k ~ids =
     atypical_of;
     f_index_of;
     star_j;
-    cv_rounds = !cv_rounds;
+    cv_rounds;
   }
 
 let layer t v = t.layer_of.(v)

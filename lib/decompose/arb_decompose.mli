@@ -26,6 +26,25 @@ val run : Tl_graph.Graph.t -> a:int -> k:int -> ids:int array -> t
     the Lemma 13 iteration bound is exceeded (e.g. the graph's arboricity
     actually exceeds [a]). *)
 
+val forest_stars :
+  Tl_graph.Graph.t ->
+  ids:int array ->
+  forests:int ->
+  lower:(int -> int) ->
+  higher:(int -> int) ->
+  in_class:(int -> bool) ->
+  int array * int array * int
+(** The forest and star split behind {!run}'s [F_{i,j}], for any edge
+    class and total order: each edge with [in_class e] gets a forest
+    index [1 .. forests] from its [lower] endpoint (which numbers its
+    class edges in edge-id order; more than [forests] of them is an
+    assertion failure), each forest is 3-colored with
+    {!Tl_symmetry.Cole_vishkin.color3} along [lower -> higher] parent
+    pointers, and the edge's star index is [1 +] the color of its
+    [higher] endpoint. Returns [(f_index, star_j, cv_rounds)] per edge
+    ([0, 0] outside the class) with the maximum CV round count over the
+    forests. Opens no span. *)
+
 (** {1 Layers and order} *)
 
 val layer : t -> int -> int

@@ -1,8 +1,9 @@
 (** Deterministic high-performance execution engine for the LOCAL model.
 
-    This is the execution backend behind {!Tl_local.Runtime}: the same
-    synchronous state-reading semantics (Definition 5), run over a
-    compiled {!Topology} snapshot with three interchangeable steppers:
+    The one entry point for running a LOCAL algorithm (Definition 5):
+    {!run}, {!run_until_stable} and {!run_rounds} over a compiled
+    {!Topology} snapshot, on the stepper a call names with [?mode], else
+    on {!default_mode}, which only {!with_knobs} sets. The steppers:
 
     - [Naive] — a faithful port of the original stepper: every present
       node re-steps every round, neighbor lists are gathered through
@@ -57,11 +58,11 @@
     Every mode but [Naive] runs on {!Driver.loop}: the backend supplies
     its initial totals and one [round] function, and the driver supplies
     termination, the {!fault_gate}, the trace lifecycle and the
-    failures. All modes raise [Failure] when [max_rounds] is exhausted,
-    like the legacy runtime; the driver additionally fails fast when the
-    active set drains while unhalted nodes remain (a stationary machine
-    can then never halt — the naive stepper would spin to [max_rounds]
-    and raise the same way). [Naive] keeps its own loops as the
+    failures. All modes raise [Failure] when [max_rounds] is exhausted;
+    the driver additionally fails fast when the active set drains while
+    unhalted nodes remain (a stationary machine can then never halt —
+    the naive stepper would spin to [max_rounds] and raise the same
+    way). [Naive] keeps its own loops as the
     independent reference the differential tests compare against.
     Traces go to the caller's [?trace] and to every
     {!Driver.subscribe}r, also when the run raises. *)
@@ -132,9 +133,8 @@ type 'state step_fn =
   'state ->
   neighbors:(int * int * 'state) list ->
   'state
-(** Same contract as the legacy runtime: [neighbors] lists
-    [(neighbor, edge, neighbor_state)] over present rank-2 edges in
-    ascending incident order. *)
+(** [neighbors] lists [(neighbor, edge, neighbor_state)] over present
+    rank-2 edges in ascending incident order. *)
 
 (** {2 Backend hook}
 
@@ -187,12 +187,12 @@ val run :
   max_rounds:int ->
   unit ->
   'state outcome
-(** Engine counterpart of {!Tl_local.Runtime.run}: rounds execute while
-    some present node is unhalted, every executed round is counted, the
-    halting check happens before the first round. [equal] (default
-    structural equality) is used only for change detection — it never
-    affects results under the stationarity contract, only which nodes
-    are re-stepped and the [changed] trace counts. *)
+(** Initialize from [init] and step while some present node is unhalted:
+    every executed round is counted, the halting check happens before
+    the first round. [equal] (default structural equality) is used only
+    for change detection — it never affects results under the
+    stationarity contract, only which nodes are re-stepped and the
+    [changed] trace counts. *)
 
 val run_until_stable :
   ?mode:mode ->
@@ -208,8 +208,8 @@ val run_until_stable :
   max_rounds:int ->
   unit ->
   'state outcome
-(** Engine counterpart of {!Tl_local.Runtime.run_until_stable}: stops at
-    a global fixed point; the detection round is not charged. *)
+(** Like {!run}, but stops at a global fixed point (no state changed
+    during a round); the detection round is not charged. *)
 
 val run_rounds :
   ?mode:mode ->

@@ -10,7 +10,7 @@
 
     {!to_json} serializes one run as:
     {v
-    { "label": "runtime.run", "mode": "seq", "scheduling": "active-set",
+    { "label": "cole_vishkin.color3", "mode": "seq", "scheduling": "active-set",
       "layout": "boxed",
       "n_base": 100000, "n_present": 100000,
       "compile_s": 0.0021, "compile_cached": false, "total_s": 0.1432,

@@ -90,9 +90,8 @@ let m_repairs = lazy (Metrics.counter "fault_repairs_total")
 let m_relabeled = lazy (Metrics.counter "fault_relabeled_total")
 let m_repair_hist = lazy (Metrics.histogram "fault_repair_seconds")
 
-let run ?mode ?(sched = Engine.Active_set) ?max_rounds ~graph ~problem
-    ~schedule () =
-  let mode = match mode with Some m -> m | None -> !Engine.default_mode in
+let run ?(sched = Engine.Active_set) ?max_rounds ~graph ~problem ~schedule () =
+  let mode = !Engine.default_mode in
   let n = Graph.n_nodes graph in
   let max_rounds =
     match max_rounds with Some m -> m | None -> (4 * n) + 64
@@ -124,11 +123,11 @@ let run ?mode ?(sched = Engine.Active_set) ?max_rounds ~graph ~problem
   let run_epoch topo =
     match problem with
     | Flood _ ->
-      Engine.run_until_stable ~mode ~sched ~label:"chaos" ~topo
+      Engine.run_until_stable ~sched ~label:"chaos" ~topo
         ~init:(fun v -> labels.(v))
         ~step:Repair.flood_step ~equal:Int.equal ~max_rounds ()
     | Mis { ids } ->
-      Engine.run ~mode ~sched ~label:"chaos" ~topo
+      Engine.run ~sched ~label:"chaos" ~topo
         ~init:(fun v -> labels.(v))
         ~step:(Repair.mis_step ~ids) ~halted:Repair.mis_halted ~max_rounds ()
   in

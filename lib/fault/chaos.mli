@@ -66,7 +66,6 @@ type report = {
 }
 
 val run :
-  ?mode:Tl_engine.Engine.mode ->
   ?sched:Tl_engine.Engine.scheduling ->
   ?max_rounds:int ->
   graph:Graph.t ->
@@ -75,6 +74,8 @@ val run :
   unit ->
   report
 (** Arm the schedule, drive the epoch loop, disarm (also on raise).
+    Every epoch runs on {!Tl_engine.Engine.default_mode} (scope it with
+    {!Tl_engine.Engine.with_knobs}); the report names that mode.
     [max_rounds] bounds each single epoch (default [4 * n + 64]).
     Raises [Invalid_argument] if an injector is already armed or the
     schedule names out-of-range ids, [Failure] if a fault-time repair

@@ -1,8 +1,3 @@
-(* Thin compatibility wrappers over Tl_engine: the legacy full-scan
-   stepper with its two full array copies per round lives on only as the
-   engine's Naive reference mode. *)
-
-module Engine = Tl_engine.Engine
 module Topology = Tl_engine.Topology
 module Span = Tl_obs.Span
 
@@ -17,8 +12,6 @@ let () = Tl_shard.Shard.register ()
    into Engine.proc_backend at module initialization. *)
 let () = Tl_proc.Coordinator.register ()
 
-type 'state outcome = { states : 'state array; rounds : int }
-
 (* Compiles through the topology cache: repeated phases over the same
    semi-graph view (color-reduction loops, the star families) reuse one
    CSR snapshot. Each compile records a [topo:cache_hit]/[topo:cache_miss]
@@ -29,30 +22,6 @@ let compile sg =
   let topo, hit = Topology.compile_cached_stat sg in
   Span.add_counter (if hit then "topo:cache_hit" else "topo:cache_miss") 1;
   (topo, Unix.gettimeofday () -. t0, hit)
-
-let run_with ?mode ?sched ?equal ?trace ~sg ~init ~step ~halted ~max_rounds ()
-    =
-  let topo, compile_s, compile_cached = compile sg in
-  let o =
-    Engine.run ?mode ?sched ?equal ?trace ~label:"runtime.run" ~compile_s
-      ~compile_cached ~topo ~init ~step ~halted ~max_rounds ()
-  in
-  { states = o.Engine.states; rounds = o.Engine.rounds }
-
-let run_until_stable_with ?mode ?sched ?trace ~sg ~init ~step ~equal
-    ~max_rounds () =
-  let topo, compile_s, compile_cached = compile sg in
-  let o =
-    Engine.run_until_stable ?mode ?sched ?trace ~label:"runtime.stable"
-      ~compile_s ~compile_cached ~topo ~init ~step ~equal ~max_rounds ()
-  in
-  { states = o.Engine.states; rounds = o.Engine.rounds }
-
-let run ~sg ~init ~step ~halted ~max_rounds =
-  run_with ~sg ~init ~step ~halted ~max_rounds ()
-
-let run_until_stable ~sg ~init ~step ~equal ~max_rounds =
-  run_until_stable_with ~sg ~init ~step ~equal ~max_rounds ()
 
 let charge_trace cost trace =
   let m = Tl_engine.Trace.metrics trace in

@@ -1,117 +1,19 @@
-(** Deterministic synchronous simulator for the LOCAL model (Definition 5).
+(** The compile step and ledger bridge shared by every engine-backed
+    algorithm.
 
-    The simulation uses the standard state-reading formulation, equivalent
-    to LOCAL with unbounded messages: in every round each node atomically
-    reads the current published state of all neighbors reachable over
-    rank-2 edges of the semi-graph, then computes its next state. The
-    number of executed rounds is returned; algorithms built on top record
-    their cost in a {!Round_cost.t} ledger.
-
-    Since the engine subsystem landed, these entry points are thin
-    compatibility wrappers over {!Tl_engine.Engine}: the semi-graph is
-    compiled once into a CSR {!Tl_engine.Topology} snapshot and stepped
-    with the double-buffered active-set scheduler (no per-round full
-    copies; converged regions cost zero). The optional [mode] selects the
-    stepper — [Naive] (the original full-scan reference), [Seq] (default,
-    via {!Tl_engine.Engine.default_mode}), [Par p] (OCaml 5 domains,
-    deterministic chunking) or [Shard s] (the sharded halo-exchange
-    backend {!Tl_shard.Shard}, which the runtime force-links so it is
-    available in every binary built on it) — all bit-identical under the
-    engine's stationarity contract (see {!Tl_engine.Engine}).
-
-    Determinism: given the semi-graph, the ID assignment and a
-    deterministic [step], runs are bit-for-bit reproducible across all
-    modes and schedulings. *)
-
-type 'state outcome = {
-  states : 'state array;
-      (** Final state per base node (only present nodes are meaningful). *)
-  rounds : int;  (** Number of synchronous rounds executed. *)
-}
-
-val run :
-  sg:Tl_graph.Semi_graph.t ->
-  init:(int -> 'state) ->
-  step:
-    (round:int ->
-    node:int ->
-    'state ->
-    neighbors:(int * int * 'state) list ->
-    'state) ->
-  halted:('state -> bool) ->
-  max_rounds:int ->
-  'state outcome
-(** [run ~sg ~init ~step ~halted ~max_rounds] initializes every present
-    node with [init node] and then executes synchronous rounds: in round
-    [r] (starting from 1) each present node [v] receives
-    [step ~round:r ~node:v state ~neighbors] where [neighbors] lists
-    [(neighbor, edge, neighbor_state)] over present rank-2 edges. The run
-    stops as soon as every present node's state satisfies [halted] —
-    checked {e before} the first round, so an already-halted configuration
-    costs 0 rounds — or when [max_rounds] is reached, whichever comes
-    first. Raises [Failure] if [max_rounds] is exceeded with non-halted
-    nodes, as a guard against non-terminating algorithms. The stepper is
-    selected by {!Tl_engine.Engine.default_mode}; active-set change
-    detection uses structural equality. *)
-
-val run_until_stable :
-  sg:Tl_graph.Semi_graph.t ->
-  init:(int -> 'state) ->
-  step:
-    (round:int ->
-    node:int ->
-    'state ->
-    neighbors:(int * int * 'state) list ->
-    'state) ->
-  equal:('state -> 'state -> bool) ->
-  max_rounds:int ->
-  'state outcome
-(** Like {!run}, but stops when a global fixed point is reached (no state
-    changed during a round). The fixed-point detection round itself is not
-    charged. *)
-
-val run_with :
-  ?mode:Tl_engine.Engine.mode ->
-  ?sched:Tl_engine.Engine.scheduling ->
-  ?equal:('state -> 'state -> bool) ->
-  ?trace:Tl_engine.Trace.t ->
-  sg:Tl_graph.Semi_graph.t ->
-  init:(int -> 'state) ->
-  step:
-    (round:int ->
-    node:int ->
-    'state ->
-    neighbors:(int * int * 'state) list ->
-    'state) ->
-  halted:('state -> bool) ->
-  max_rounds:int ->
-  unit ->
-  'state outcome
-(** {!run} with explicit engine controls: stepper [mode] ([Naive] /
-    [Seq] / [Par p]), [sched]uling, active-set [equal] and a [trace]
-    collector. *)
-
-val run_until_stable_with :
-  ?mode:Tl_engine.Engine.mode ->
-  ?sched:Tl_engine.Engine.scheduling ->
-  ?trace:Tl_engine.Trace.t ->
-  sg:Tl_graph.Semi_graph.t ->
-  init:(int -> 'state) ->
-  step:
-    (round:int ->
-    node:int ->
-    'state ->
-    neighbors:(int * int * 'state) list ->
-    'state) ->
-  equal:('state -> 'state -> bool) ->
-  max_rounds:int ->
-  unit ->
-  'state outcome
-(** {!run_until_stable} with explicit engine controls. *)
+    Runs themselves go through {!Tl_engine.Engine} — the one entry
+    point, whose stepper comes from {!Tl_engine.Engine.default_mode}
+    unless a call passes [?mode]. This module supplies the cached CSR
+    compile that feeds them and merges measured engine rounds into a
+    {!Round_cost} ledger. It also force-links the [Shard] and [Proc]
+    backends ({!Tl_shard.Shard}, [Tl_proc.Coordinator]), so every binary
+    built on it can run those modes. *)
 
 val compile : Tl_graph.Semi_graph.t -> Tl_engine.Topology.t * float * bool
 (** [(topo, compile_s, cache_hit)] through the topology cache, counted
-    as [topo:cache_hit] / [topo:cache_miss] on the current span. *)
+    as [topo:cache_hit] / [topo:cache_miss] on the current span. Pass
+    the last two to {!Tl_engine.Engine.run} as [~compile_s] and
+    [~compile_cached]. *)
 
 val charge_trace : Round_cost.t -> Tl_engine.Trace.t -> unit
 (** Merge an engine trace into a round ledger: charges the measured

@@ -20,13 +20,8 @@ module Topology = Tl_engine.Topology
 module Driver = Tl_engine.Driver
 module Team = Tl_engine.Team
 module Plan = Tl_shard.Plan
-module Span = Tl_obs.Span
-module Metrics = Tl_obs.Metrics
 
 let now = Unix.gettimeofday
-
-let m_halo_words = lazy (Metrics.counter "proc_halo_words_total")
-let m_runs = lazy (Metrics.counter "proc_runs_total")
 
 (* ---------- cluster plumbing ---------- *)
 
@@ -205,53 +200,6 @@ let with_cluster ~procs ~topo ~term ~sched ~slots ~body ~drive =
         end)
       pids
   in
-  let emit_spans () =
-    if Span.active () then begin
-      let np = topo.Topology.n_present in
-      Span.add_counter "proc:procs" size;
-      Span.add_counter "proc:shape"
-        (match shape with Collective.Binomial -> 0 | Collective.Nary f -> f);
-      Span.add_counter "proc:cut_edges" (Plan.cut_edges_total plan);
-      Span.add_counter "proc:imbalance" (Plan.imbalance_permille plan);
-      Span.add_counter
-        (if plan_hit then "proc:plan_hit" else "proc:plan_miss")
-        1;
-      Span.add_counter "proc:halo_words"
-        (Array.fold_left ( + ) 0 epi_halo);
-      Array.iteri
-        (fun rank sh ->
-          if have_epi.(rank) then
-            Span.with_span (Printf.sprintf "proc:%d" rank) (fun () ->
-                Span.add_counter "proc:owned" sh.Plan.n_owned;
-                Span.add_counter "proc:halo"
-                  (sh.Plan.n_local - sh.Plan.n_owned);
-                Span.add_counter "proc:cut_edges" sh.Plan.cut_edges;
-                Span.add_counter "proc:halo_words" epi_halo.(rank);
-                Span.add_counter "proc:imbalance"
-                  (if np = 0 then 1000
-                   else sh.Plan.n_owned * size * 1000 / np);
-                Span.add_counter "proc:exchange_rounds" epi_exch.(rank)))
-        shards
-    end
-  in
-  let emit_metrics () =
-    if Metrics.enabled () then begin
-      let halo = Array.fold_left ( + ) 0 epi_halo in
-      Metrics.incr (Lazy.force m_halo_words) halo;
-      Metrics.incr (Lazy.force m_runs) 1;
-      Metrics.Recorder.record
-        {
-          Metrics.Recorder.ts = now ();
-          kind = "exchange";
-          key = Printf.sprintf "procs:%d" size;
-          detail =
-            Printf.sprintf "halo_words=%d cut_edges=%d" halo
-              (Plan.cut_edges_total plan);
-          outcome = "ok";
-          latency_s = now () -. t_start;
-        }
-    end
-  in
   let worker_died rank =
     let st = waitpid_retry pids.(rank) in
     reaped.(rank) <- true;
@@ -417,8 +365,13 @@ let with_cluster ~procs ~topo ~term ~sched ~slots ~body ~drive =
     Fun.protect
       ~finally:(fun () ->
         cleanup ();
-        emit_spans ();
-        emit_metrics ())
+        Tl_shard.Shard.emit_partition ~prefix:"proc"
+          ~shape:
+            (match shape with Collective.Binomial -> 0 | Collective.Nary f -> f)
+          ~plan ~plan_hit
+          ~reported:(Array.get have_epi) ~halo_words:(Array.get epi_halo)
+          ~exchange_rounds:(Array.get epi_exch)
+          ~latency_s:(now () -. t_start) ())
       (fun () ->
         (* prologues: identity, run configuration, halo-neighbor sets,
            tree shape and the shard image — once per worker *)
@@ -564,20 +517,3 @@ module Kernels = struct
   let mis_local_max ~ids ~l2g =
     Flat.Kernels.mis_local_max ~ids:(Array.map (fun g -> ids.(g)) l2g)
 end
-
-(* ---------- direct boxed API (mirrors Shard.run / Par.run) ---------- *)
-
-let run ~procs ?sched ?equal ?trace ?label ~topo ~init ~step ~halted
-    ~max_rounds () =
-  Engine.run ~mode:(Engine.Proc procs) ?sched ?equal ?trace ?label ~topo ~init
-    ~step ~halted ~max_rounds ()
-
-let run_until_stable ~procs ?sched ?trace ?label ~topo ~init ~step ~equal
-    ~max_rounds () =
-  Engine.run_until_stable ~mode:(Engine.Proc procs) ?sched ?trace ?label ~topo
-    ~init ~step ~equal ~max_rounds ()
-
-let run_rounds ~procs ?sched ?equal ?trace ?label ~topo ~init ~step ~rounds
-    () =
-  Engine.run_rounds ~mode:(Engine.Proc procs) ?sched ?equal ?trace ?label
-    ~topo ~init ~step ~rounds ()

@@ -376,9 +376,9 @@ let resolve_knobs ~engine ~shards ~pool ~n =
   else if shards < 1 then
     Stdlib.Error
       (Printf.sprintf "invalid shard count %d (expected S >= 1)" shards)
-  else if pool < 1 || pool > 64 then
-    Stdlib.Error
-      (Printf.sprintf "invalid pool size %d (expected 1 <= N <= 64)" pool)
+  else if pool < 1 || pool > Tl_engine.Team.max_workers then
+    Stdlib.Error (Printf.sprintf "invalid pool size %d (expected 1 <= N <= %d)"
+      pool Tl_engine.Team.max_workers)
   else
     (* "shard"/"proc" without an inline count take the shards knob *)
     match Engine.mode_of_string ~count:shards engine with

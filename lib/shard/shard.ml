@@ -8,13 +8,10 @@ module Metrics = Tl_obs.Metrics
 
 let now = Unix.gettimeofday
 
-(* Registry metrics (lazy so an unused backend never registers). All
-   observations happen on the coordinating domain, guarded by
-   [Metrics.enabled] — a disabled registry costs one Atomic.get per
-   round here. *)
+(* The exchange histogram (lazy so an unused backend never registers).
+   Observed on the coordinating domain, guarded by [Metrics.enabled] — a
+   disabled registry costs one Atomic.get per round here. *)
 let m_exchange_s = lazy (Metrics.histogram "shard_exchange_seconds")
-let m_halo_words = lazy (Metrics.counter "shard_halo_words_total")
-let m_runs = lazy (Metrics.counter "shard_runs_total")
 
 (* Per-shard mutable run state. Everything the hot loop touches is local
    to the shard and indexed by local ids, so a shard's working set is
@@ -235,54 +232,50 @@ let writeback ctxs states =
       done)
     ctxs
 
-(* Span emission — coordinating domain only, after the round loop (also
-   on failure, mirroring trace delivery). One child span per shard with
-   the partition/traffic counters, plus aggregates on the current span. *)
-let emit_spans plan ctxs plan_hit =
+(* Called on the coordinating domain after the round loop, also on
+   failure, mirroring trace delivery. *)
+let emit_partition ~prefix ?shape ~plan ~plan_hit ~reported ~halo_words
+    ~exchange_rounds ~latency_s () =
+  let shards = plan.Plan.shards in
+  let count = Array.length shards in
+  let name k = prefix ^ ":" ^ k in
+  let halo = ref 0 in
+  Array.iteri (fun i _ -> halo := !halo + halo_words i) shards;
   if Span.active () then begin
-    let s_count = Array.length ctxs in
     let np = plan.Plan.topo.Topology.n_present in
-    Span.add_counter "shard:shards" s_count;
-    Span.add_counter "shard:cut_edges" (Plan.cut_edges_total plan);
-    Span.add_counter "shard:imbalance" (Plan.imbalance_permille plan);
-    Span.add_counter
-      (if plan_hit then "shard:plan_hit" else "shard:plan_miss")
-      1;
-    Span.add_counter "shard:halo_words"
-      (Array.fold_left (fun acc c -> acc + c.halo_words) 0 ctxs);
-    Array.iter
-      (fun c ->
-        let sh = c.sh in
-        Span.with_span (Printf.sprintf "shard:%d" sh.Plan.id) (fun () ->
-            Span.add_counter "shard:owned" sh.Plan.n_owned;
-            Span.add_counter "shard:halo" (sh.Plan.n_local - sh.Plan.n_owned);
-            Span.add_counter "shard:cut_edges" sh.Plan.cut_edges;
-            Span.add_counter "shard:halo_words" c.halo_words;
-            Span.add_counter "shard:imbalance"
-              (if np = 0 then 1000
-               else sh.Plan.n_owned * s_count * 1000 / np);
-            Span.add_counter "shard:exchange_rounds" c.exchange_rounds))
-      ctxs
-  end
-
-(* Registry/recorder emission — coordinating domain, same finally as
-   span emission: one halo-words increment and one "exchange" flight
-   event per run, summarizing the run's boundary traffic. *)
-let emit_metrics plan ctxs ~exch_s =
+    Span.add_counter (name (prefix ^ "s")) count;
+    Option.iter (Span.add_counter (name "shape")) shape;
+    Span.add_counter (name "cut_edges") (Plan.cut_edges_total plan);
+    Span.add_counter (name "imbalance") (Plan.imbalance_permille plan);
+    Span.add_counter (name (if plan_hit then "plan_hit" else "plan_miss")) 1;
+    Span.add_counter (name "halo_words") !halo;
+    Array.iteri
+      (fun i sh ->
+        if reported i then
+          Span.with_span (name (string_of_int i)) (fun () ->
+              Span.add_counter (name "owned") sh.Plan.n_owned;
+              Span.add_counter (name "halo")
+                (sh.Plan.n_local - sh.Plan.n_owned);
+              Span.add_counter (name "cut_edges") sh.Plan.cut_edges;
+              Span.add_counter (name "halo_words") (halo_words i);
+              Span.add_counter (name "imbalance")
+                (if np = 0 then 1000 else sh.Plan.n_owned * count * 1000 / np);
+              Span.add_counter (name "exchange_rounds") (exchange_rounds i)))
+      shards
+  end;
   if Metrics.enabled () then begin
-    let halo = Array.fold_left (fun acc c -> acc + c.halo_words) 0 ctxs in
-    Metrics.incr (Lazy.force m_halo_words) halo;
-    Metrics.incr (Lazy.force m_runs) 1;
+    Metrics.incr (Metrics.counter (prefix ^ "_halo_words_total")) !halo;
+    Metrics.incr (Metrics.counter (prefix ^ "_runs_total")) 1;
     Metrics.Recorder.record
       {
         Metrics.Recorder.ts = now ();
         kind = "exchange";
-        key = Printf.sprintf "shards:%d" (Array.length ctxs);
+        key = Printf.sprintf "%ss:%d" prefix count;
         detail =
-          Printf.sprintf "halo_words=%d cut_edges=%d" halo
+          Printf.sprintf "halo_words=%d cut_edges=%d" !halo
             (Plan.cut_edges_total plan);
         outcome = "ok";
-        latency_s = exch_s;
+        latency_s;
       }
   end
 
@@ -329,8 +322,11 @@ let sb_run ~count:shards ~sched ~equal ~halted ~trace:tr ~topo ~init ~step
   let exch_acc = ref 0. in
   Fun.protect
     ~finally:(fun () ->
-      emit_spans plan ctxs plan_hit;
-      emit_metrics plan ctxs ~exch_s:!exch_acc)
+      emit_partition ~prefix:"shard" ~plan ~plan_hit
+        ~reported:(fun _ -> true)
+        ~halo_words:(fun s -> ctxs.(s).halo_words)
+        ~exchange_rounds:(fun s -> ctxs.(s).exchange_rounds)
+        ~latency_s:!exch_acc ())
     (fun () ->
       let rounds =
         Driver.loop tr term st (fun round st ->
@@ -345,23 +341,3 @@ let sb_run ~count:shards ~sched ~equal ~halted ~trace:tr ~topo ~init ~step
 let () = Engine.shard_backend := Some { Engine.run = sb_run }
 
 let register () = ()
-
-(* ---------- direct API ---------- *)
-
-let run ~shards ?pool ?sched ?equal ?trace ?label ~topo ~init ~step ~halted
-    ~max_rounds () =
-  Engine.with_knobs ?workers:pool (fun () ->
-      Engine.run ~mode:(Engine.Shard shards) ?sched ?equal ?trace ?label ~topo
-        ~init ~step ~halted ~max_rounds ())
-
-let run_until_stable ~shards ?pool ?sched ?trace ?label ~topo ~init ~step
-    ~equal ~max_rounds () =
-  Engine.with_knobs ?workers:pool (fun () ->
-      Engine.run_until_stable ~mode:(Engine.Shard shards) ?sched ?trace ?label
-        ~topo ~init ~step ~equal ~max_rounds ())
-
-let run_rounds ~shards ?pool ?sched ?equal ?trace ?label ~topo ~init ~step
-    ~rounds () =
-  Engine.with_knobs ?workers:pool (fun () ->
-      Engine.run_rounds ~mode:(Engine.Shard shards) ?sched ?equal ?trace ?label
-        ~topo ~init ~step ~rounds ())

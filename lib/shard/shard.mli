@@ -78,48 +78,26 @@ val fault_drop_hook : (round:int -> src:int -> dst:int -> bool) option ref
     {!Tl_engine.Engine.fault_gate} interrupts them at round boundaries
     exactly like every other backend. *)
 
-val run :
-  shards:int ->
-  ?pool:int ->
-  ?sched:Tl_engine.Engine.scheduling ->
-  ?equal:('state -> 'state -> bool) ->
-  ?trace:Tl_engine.Trace.t ->
-  ?label:string ->
-  topo:Tl_engine.Topology.t ->
-  init:(int -> 'state) ->
-  step:'state Tl_engine.Engine.step_fn ->
-  halted:('state -> bool) ->
-  max_rounds:int ->
+val emit_partition :
+  prefix:string ->
+  ?shape:int ->
+  plan:Plan.t ->
+  plan_hit:bool ->
+  reported:(int -> bool) ->
+  halo_words:(int -> int) ->
+  exchange_rounds:(int -> int) ->
+  latency_s:float ->
   unit ->
-  'state Tl_engine.Engine.outcome
-(** [Engine.run ~mode:(Shard shards)] with the pool width scoped to
-    [pool] for the duration of the call ({!Tl_engine.Engine.with_knobs});
-    [pool] defaults to the ambient {!Tl_engine.Pool.default_workers}. *)
-
-val run_until_stable :
-  shards:int ->
-  ?pool:int ->
-  ?sched:Tl_engine.Engine.scheduling ->
-  ?trace:Tl_engine.Trace.t ->
-  ?label:string ->
-  topo:Tl_engine.Topology.t ->
-  init:(int -> 'state) ->
-  step:'state Tl_engine.Engine.step_fn ->
-  equal:('state -> 'state -> bool) ->
-  max_rounds:int ->
-  unit ->
-  'state Tl_engine.Engine.outcome
-
-val run_rounds :
-  shards:int ->
-  ?pool:int ->
-  ?sched:Tl_engine.Engine.scheduling ->
-  ?equal:('state -> 'state -> bool) ->
-  ?trace:Tl_engine.Trace.t ->
-  ?label:string ->
-  topo:Tl_engine.Topology.t ->
-  init:(int -> 'state) ->
-  step:'state Tl_engine.Engine.step_fn ->
-  rounds:int ->
-  unit ->
-  'state Tl_engine.Engine.outcome
+  unit
+(** Partition and traffic observability for one run over [plan], shared
+    by this backend ([~prefix:"shard"]) and the process backend
+    ([~prefix:"proc"]). With an ambient span: root counters
+    [<p>:<p>s] (the shard count), [<p>:shape] (when [shape] is given),
+    [<p>:cut_edges], [<p>:imbalance], [<p>:plan_hit]/[<p>:plan_miss] and
+    [<p>:halo_words] (the sum of [halo_words i]), then one child span
+    ["<p>:<i>"] per shard [i] with [reported i], carrying [<p>:owned],
+    [<p>:halo], [<p>:cut_edges], [<p>:halo_words], [<p>:imbalance] and
+    [<p>:exchange_rounds]. With the metrics registry enabled: the
+    [<p>_halo_words_total] and [<p>_runs_total] counters and one
+    ["exchange"] flight-recorder event keyed ["<p>s:<count>"] with
+    latency [latency_s]. *)

@@ -92,8 +92,10 @@ let color3_runtime ~sg ~nodes ~parent ~ids =
   let state_equal a b =
     a.color = b.color && a.my_parent = b.my_parent && a.steps = b.steps
   in
-  let outcome =
-    Tl_local.Runtime.run_with ~sg ~equal:state_equal
+  let topo, compile_s, compile_cached = Tl_local.Runtime.compile sg in
+  let { Tl_engine.Engine.states; rounds } =
+    Tl_engine.Engine.run ~equal:state_equal ~label:"cole_vishkin.color3"
+      ~compile_s ~compile_cached ~topo
       ~init:(fun v ->
         if Hashtbl.mem in_forest v then
           { color = ids.(v); my_parent = parent.(v); steps = 0 }
@@ -103,10 +105,8 @@ let color3_runtime ~sg ~nodes ~parent ~ids =
       ~max_rounds:(total + 1) ()
   in
   let colors = Array.make (Array.length parent) (-1) in
-  List.iter
-    (fun v -> colors.(v) <- outcome.Tl_local.Runtime.states.(v).color)
-    nodes;
-  (colors, outcome.Tl_local.Runtime.rounds)
+  List.iter (fun v -> colors.(v) <- states.(v).color) nodes;
+  (colors, rounds)
 
 let color3 ~nodes ~parent ~ids =
   let n = Array.length parent in

@@ -32,11 +32,11 @@ val color3_runtime :
   ids:int array ->
   int array * int
 (** The same 3-coloring executed as a message-passing state machine on
-    {!Tl_local.Runtime} — every node reads its neighbors' published
-    states over the semi-graph's rank-2 edges and follows the fixed
-    schedule (data-independent, as a real LOCAL algorithm must be when
-    termination cannot be detected locally). Parents must be rank-2
-    neighbors in [sg]. Returns [(colors, rounds)] with
-    [rounds = schedule_length]; colors are a proper 3-coloring of the
-    forest. Used by the test-suite as a differential check against
-    {!color3}. *)
+    {!Tl_engine.Engine} (run label ["cole_vishkin.color3"]) — every node
+    reads its neighbors' published states over the semi-graph's rank-2
+    edges and follows the fixed schedule (data-independent, as a real
+    LOCAL algorithm must be when termination cannot be detected
+    locally). Parents must be rank-2 neighbors in [sg]. Returns
+    [(colors, rounds)] with [rounds = schedule_length]; colors are a
+    proper 3-coloring of the forest. Used by the test-suite as a
+    differential check against {!color3}. *)

@@ -6,6 +6,7 @@ module Gen = Tl_graph.Gen
 module Props = Tl_graph.Props
 module Ids = Tl_local.Ids
 module Round_cost = Tl_local.Round_cost
+module Engine = Tl_engine.Engine
 module Nec = Tl_problems.Nec
 module Complexity = Tl_core.Complexity
 module Theorem1 = Tl_core.Theorem1
@@ -561,8 +562,8 @@ let prop_pooled_theorem1_bit_identical =
       let tree = Gen.random_tree ~n ~seed in
       let ids = Ids.permuted ~n ~seed:(seed + 1) in
       let run workers =
-        Theorem1.run ~workers ~spec:mis_spec ~tree ~ids
-          ~f:Complexity.f_linear ()
+        Engine.with_knobs ~workers (fun () ->
+            Theorem1.run ~spec:mis_spec ~tree ~ids ~f:Complexity.f_linear ())
       in
       let seq = run 1 and par = run 4 in
       labels_equal tree seq.Theorem1.labeling par.Theorem1.labeling
@@ -577,8 +578,9 @@ let prop_pooled_theorem2_bit_identical =
       let graph = Gen.forest_union ~n ~arboricity:a ~seed in
       let ids = Ids.permuted ~n ~seed:(seed + 1) in
       let run workers =
-        Theorem2.run ~workers ~spec:matching_spec ~graph ~a ~ids
-          ~f:Complexity.f_linear ()
+        Engine.with_knobs ~workers (fun () ->
+            Theorem2.run ~spec:matching_spec ~graph ~a ~ids
+              ~f:Complexity.f_linear ())
       in
       let seq = run 1 and par = run 3 in
       labels_equal graph seq.Theorem2.labeling par.Theorem2.labeling
@@ -591,12 +593,13 @@ let test_pooled_forest_with_invariants () =
   let forest = Gen.random_forest ~n:600 ~trees:13 ~seed:92 in
   let ids = Ids.permuted ~n:600 ~seed:93 in
   let seq =
-    Theorem1.run ~workers:1 ~spec:mis_spec ~tree:forest ~ids
-      ~f:Complexity.f_linear ()
+    Engine.with_knobs ~workers:1 (fun () ->
+        Theorem1.run ~spec:mis_spec ~tree:forest ~ids ~f:Complexity.f_linear ())
   in
   let par =
-    Theorem1.run ~workers:4 ~check_invariants:true ~spec:mis_spec ~tree:forest
-      ~ids ~f:Complexity.f_linear ()
+    Engine.with_knobs ~workers:4 (fun () ->
+        Theorem1.run ~check_invariants:true ~spec:mis_spec ~tree:forest ~ids
+          ~f:Complexity.f_linear ())
   in
   check "pooled labeling identical" true
     (labels_equal forest seq.Theorem1.labeling par.Theorem1.labeling);
@@ -607,12 +610,14 @@ let test_pooled_forest_with_invariants () =
   let g = Gen.power_law_union ~n:500 ~arboricity:2 ~seed:94 in
   let ids = Ids.permuted ~n:500 ~seed:95 in
   let seq2 =
-    Theorem2.run ~workers:1 ~spec:matching_spec ~graph:g ~a:2 ~ids
-      ~f:Complexity.f_linear ()
+    Engine.with_knobs ~workers:1 (fun () ->
+        Theorem2.run ~spec:matching_spec ~graph:g ~a:2 ~ids
+          ~f:Complexity.f_linear ())
   in
   let par2 =
-    Theorem2.run ~workers:4 ~check_invariants:true ~spec:matching_spec ~graph:g
-      ~a:2 ~ids ~f:Complexity.f_linear ()
+    Engine.with_knobs ~workers:4 (fun () ->
+        Theorem2.run ~check_invariants:true ~spec:matching_spec ~graph:g ~a:2
+          ~ids ~f:Complexity.f_linear ())
   in
   check "pooled stars identical" true
     (labels_equal g seq2.Theorem2.labeling par2.Theorem2.labeling);
@@ -633,6 +638,99 @@ let qcheck_tests =
       prop_pooled_theorem1_bit_identical;
       prop_pooled_theorem2_bit_identical;
     ]
+
+(* ---------- golden outputs ----------
+
+   Every Pipeline.table row pinned on two fixed instances: random-tree
+   n=2000 seed 3 (all ten rows) and forest-union a=2 n=2000 seed 3 (the
+   six rows that accept non-trees), with ids permuted under seed 4 as
+   [tree-local solve] does. Rows are (family, problem, method,
+   total_rounds, Round_cost.phases, Protocol.digest_labeling). A refactor
+   that changes any labeling, ledger or round count fails here. *)
+
+let golden =
+  [
+    ("random-tree", "mis", "transform", 81,
+      [ ("decompose", 6); ("base:A(T_C)", 75); ("gather-solve(T_R)", 0) ],
+      "3281f28e99de8929" );
+    ("random-tree", "coloring", "transform", 74,
+      [ ("decompose", 6); ("base:A(T_C)", 68); ("gather-solve(T_R)", 0) ],
+      "fa9adbb90898216b" );
+    ("random-tree", "matching", "transform", 272,
+      [ ("decompose", 2); ("forest-3-coloring", 0); ("base:A(G[E2])", 258); ("gather-solve(stars)", 12) ],
+      "c5fba1c2d298dd8d" );
+    ("random-tree", "edge-coloring", "transform", 264,
+      [ ("decompose", 4); ("forest-3-coloring", 8); ("base:A(G[E2])", 240); ("gather-solve(stars)", 12) ],
+      "35debee3dd5e3949" );
+    ("random-tree", "mis", "direct", 114,
+      [ ("base:A(G)", 114) ],
+      "1a8ca0b8d4952bc3" );
+    ("random-tree", "coloring", "direct", 105,
+      [ ("base:A(G)", 105) ],
+      "a66642aedc1f50c5" );
+    ("random-tree", "matching", "direct", 258,
+      [ ("base:A(G)", 258) ],
+      "c5fba1c2d298dd8d" );
+    ("random-tree", "edge-coloring", "direct", 240,
+      [ ("base:A(G)", 240) ],
+      "207a2cfdba7e5d7f" );
+    ("random-tree", "matching", "baseline", 34,
+      [ ("decompose", 12); ("forest-3-coloring", 10); ("gather-solve(stars)", 12) ],
+      "f9c6540b5f1b2acb" );
+    ("random-tree", "edge-coloring", "baseline", 34,
+      [ ("decompose", 12); ("forest-3-coloring", 10); ("gather-solve(stars)", 12) ],
+      "b27a7c0849d6d4b5" );
+    ("forest-union", "matching", "transform", 608,
+      [ ("decompose", 2); ("forest-3-coloring", 0); ("base:A(G[E2])", 582); ("gather-solve(stars)", 24) ],
+      "21f75014d715bba3" );
+    ("forest-union", "edge-coloring", "transform", 572,
+      [ ("decompose", 2); ("forest-3-coloring", 0); ("base:A(G[E2])", 546); ("gather-solve(stars)", 24) ],
+      "3eaee4d5580d1e27" );
+    ("forest-union", "mis", "direct", 156,
+      [ ("base:A(G)", 156) ],
+      "703024e12a077c61" );
+    ("forest-union", "coloring", "direct", 144,
+      [ ("base:A(G)", 144) ],
+      "e3c946fd9e6f4ef1" );
+    ("forest-union", "matching", "direct", 582,
+      [ ("base:A(G)", 582) ],
+      "21f75014d715bba3" );
+    ("forest-union", "edge-coloring", "direct", 546,
+      [ ("base:A(G)", 546) ],
+      "3eaee4d5580d1e27" );
+  ]
+
+let test_golden_outputs () =
+  let instances = [ ("random-tree", 1); ("forest-union", 2) ] in
+  let got =
+    List.concat_map
+      (fun (family, a) ->
+        let g = Gen.of_family family ~n:2000 ~seed:3 ~a ~delta:8 in
+        let ids = Ids.permuted ~n:(Graph.n_nodes g) ~seed:4 in
+        List.filter_map
+          (fun (row : Pipeline.row) ->
+            match Pipeline.solve row ~graph:g ~a ~ids () with
+            | Error _ -> None
+            | Ok (Pipeline.Solved r) ->
+              Some
+                ( family,
+                  row.problem,
+                  row.method_,
+                  r.Pipeline.total_rounds,
+                  Round_cost.phases r.Pipeline.cost,
+                  Tl_serve.Protocol.digest_labeling ~graph:g r.Pipeline.labeling ))
+          Pipeline.table)
+      instances
+  in
+  Alcotest.(check int) "row count" (List.length golden) (List.length got);
+  List.iter2
+    (fun (f, p, m, rounds, phases, digest) (f', p', m', rounds', phases', digest') ->
+      let name = Printf.sprintf "%s %s/%s" f p m in
+      Alcotest.(check (triple string string string)) name (f, p, m) (f', p', m');
+      Alcotest.(check int) (name ^ " total_rounds") rounds rounds';
+      Alcotest.(check (list (pair string int))) (name ^ " phases") phases phases';
+      Alcotest.(check string) (name ^ " digest") digest digest')
+    golden got
 
 let () =
   Alcotest.run "tl_core"
@@ -695,6 +793,8 @@ let () =
           Alcotest.test_case "O(log n) rounds" `Quick test_baseline_log_rounds;
         ] );
       ("properties", qcheck_tests);
+      ( "golden",
+        [ Alcotest.test_case "pipeline table outputs" `Quick test_golden_outputs ] );
       ( "scale",
         [
           Alcotest.test_case "half-million-node pipeline" `Slow

@@ -1,6 +1,6 @@
 (* Tests for the execution engine: Topology compilation, differential
    equivalence of the Naive / Seq / Par steppers across graph families
-   and machines, failure semantics, tracing, and the Runtime wrappers. *)
+   and machines, failure semantics, tracing, and the Runtime compile path. *)
 
 module Graph = Tl_graph.Graph
 module Gen = Tl_graph.Gen
@@ -152,11 +152,8 @@ let prop_cv_differential =
       let sg = Semi_graph.of_graph g in
       let nodes = List.init n Fun.id in
       let run_in mode =
-        let saved = !Engine.default_mode in
-        Engine.default_mode := mode;
-        Fun.protect
-          ~finally:(fun () -> Engine.default_mode := saved)
-          (fun () -> CV.color3_runtime ~sg ~nodes ~parent ~ids)
+        Engine.with_knobs ~mode (fun () ->
+            CV.color3_runtime ~sg ~nodes ~parent ~ids)
       in
       let reference = run_in Engine.Naive in
       List.for_all (fun m -> run_in m = reference) modes)
@@ -183,7 +180,7 @@ let prop_run_rounds_differential =
       reference.Engine.rounds = r
       && List.for_all (fun m -> outcomes_equal (run_in m) reference) modes)
 
-(* ---------- Runtime wrappers (regression vs the naive reference) ---------- *)
+(* ---------- Runtime.compile + Engine (regression vs naive) ---------- *)
 
 let named_families =
   [
@@ -196,40 +193,40 @@ let named_families =
     ("power-law-tree", Gen.power_law_tree ~n:70 ~seed:17);
   ]
 
+(* The path every engine-backed algorithm takes: the cached compile,
+   then the engine. *)
+let runtime_run ?mode ?trace ~sg ~init ~step ~halted ~max_rounds () =
+  let topo, compile_s, compile_cached = Runtime.compile sg in
+  Engine.run ?mode ?trace ~compile_s ~compile_cached ~topo ~init ~step ~halted
+    ~max_rounds ()
+
 let test_runtime_matches_naive () =
   List.iter
     (fun (name, g) ->
       let sg = Semi_graph.of_graph g in
       let n = Graph.n_nodes g in
       let init v = v = 0 in
-      let default =
-        Runtime.run ~sg ~init ~step:flood_step
-          ~halted:(fun s -> s)
-          ~max_rounds:(n + 1)
-      in
-      let naive =
-        Runtime.run_with ~mode:Engine.Naive ~sg ~init ~step:flood_step
+      let run ?mode () =
+        runtime_run ?mode ~sg ~init ~step:flood_step
           ~halted:(fun s -> s)
           ~max_rounds:(n + 1) ()
       in
+      let default = run () and naive = run ~mode:Engine.Naive () in
       check (name ^ ": run states match naive") true
-        (default.Runtime.states = naive.Runtime.states);
-      check_int (name ^ ": run rounds match naive") naive.Runtime.rounds
-        default.Runtime.rounds;
-      let default_s =
-        Runtime.run_until_stable ~sg ~init ~step:flood_step ~equal:Bool.equal
-          ~max_rounds:(n + 1)
+        (default.Engine.states = naive.Engine.states);
+      check_int (name ^ ": run rounds match naive") naive.Engine.rounds
+        default.Engine.rounds;
+      let stable ?mode () =
+        let topo, compile_s, compile_cached = Runtime.compile sg in
+        Engine.run_until_stable ?mode ~compile_s ~compile_cached ~topo ~init
+          ~step:flood_step ~equal:Bool.equal ~max_rounds:(n + 1) ()
       in
-      let naive_s =
-        Runtime.run_until_stable_with ~mode:Engine.Naive ~sg ~init
-          ~step:flood_step ~equal:Bool.equal
-          ~max_rounds:(n + 1) ()
-      in
+      let default_s = stable () and naive_s = stable ~mode:Engine.Naive () in
       check (name ^ ": stable states match naive") true
-        (default_s.Runtime.states = naive_s.Runtime.states);
+        (default_s.Engine.states = naive_s.Engine.states);
       check_int
         (name ^ ": stable rounds match naive")
-        naive_s.Runtime.rounds default_s.Runtime.rounds)
+        naive_s.Engine.rounds default_s.Engine.rounds)
     named_families
 
 (* ---------- Linial on the engine ---------- *)
@@ -326,15 +323,15 @@ let test_trace_metrics () =
   let sg = Semi_graph.of_graph g in
   let trace = Trace.create ~label:"test-flood" () in
   let o =
-    Runtime.run_with ~trace ~sg
+    runtime_run ~trace ~sg
       ~init:(fun v -> v = 0)
       ~step:flood_step
       ~halted:(fun s -> s)
       ~max_rounds:(n + 1) ()
   in
   let m = Trace.metrics trace in
-  check_int "trace rounds = outcome rounds" o.Runtime.rounds m.Trace.rounds;
-  check_int "naive_steps = rounds * n" (o.Runtime.rounds * n)
+  check_int "trace rounds = outcome rounds" o.Engine.rounds m.Trace.rounds;
+  check_int "naive_steps = rounds * n" (o.Engine.rounds * n)
     m.Trace.naive_steps;
   check "active-set executed fewer steps" true (m.Trace.steps < m.Trace.naive_steps);
   check_int "steps = sum of per-round active"
@@ -363,11 +360,11 @@ let test_trace_sink () =
     (fun () ->
       let sg = Semi_graph.of_graph (Gen.path 12) in
       ignore
-        (Runtime.run ~sg
+        (runtime_run ~sg
            ~init:(fun v -> v = 0)
            ~step:flood_step
            ~halted:(fun s -> s)
-           ~max_rounds:20));
+           ~max_rounds:20 ()));
   check_int "sink received exactly one trace" 1 (List.length !got);
   check "sink trace measured rounds" true
     ((Trace.metrics (List.hd !got)).Trace.rounds > 0)
@@ -429,6 +426,29 @@ let test_trace_json_roundtrip () =
   check_int "n_present accessor" 4 (Trace.n_present tr)
 
 (* ---------- mode parsing ---------- *)
+
+(* The one scope for the process-wide knobs: both set inside [f], both
+   restored on return and on raise, an omitted knob left untouched. *)
+let test_with_knobs () =
+  let mode0 = !Engine.default_mode
+  and workers0 = !Tl_engine.Pool.default_workers in
+  let ambient () = (!Engine.default_mode, !Tl_engine.Pool.default_workers) in
+  let inside =
+    Engine.with_knobs ~mode:(Engine.Par 3) ~workers:(workers0 + 2) ambient
+  in
+  check "both knobs set inside" true (inside = (Engine.Par 3, workers0 + 2));
+  check "both restored on return" true (ambient () = (mode0, workers0));
+  (try
+     Engine.with_knobs ~mode:(Engine.Shard 2) ~workers:(workers0 + 1)
+       (fun () -> failwith "boom")
+   with Failure _ -> ());
+  check "both restored on raise" true (ambient () = (mode0, workers0));
+  check "omitted workers untouched" true
+    (Engine.with_knobs ~mode:Engine.Naive ambient = (Engine.Naive, workers0));
+  check "omitted mode untouched" true
+    (Engine.with_knobs ~workers:(workers0 + 3) ambient
+    = (mode0, workers0 + 3));
+  check "restored after partial scopes" true (ambient () = (mode0, workers0))
 
 let test_mode_strings () =
   List.iter
@@ -1039,11 +1059,11 @@ let test_topology_cache_eviction_generation () =
   let h2, m2 = Topology.cache_stats () in
   let flood ~sg =
     ignore
-      (Runtime.run ~sg
+      (runtime_run ~sg
          ~init:(fun v -> v = 0)
          ~step:flood_step
          ~halted:(fun s -> s)
-         ~max_rounds:20)
+         ~max_rounds:20 ())
   in
   let (), root =
     Tl_obs.Span.run "cache-counters" (fun () ->
@@ -1178,5 +1198,9 @@ let () =
           Alcotest.test_case "rounds_detail json round-trip" `Quick
             test_trace_json_roundtrip;
         ] );
-      ("modes", [ Alcotest.test_case "parsing" `Quick test_mode_strings ]);
+      ( "modes",
+        [
+          Alcotest.test_case "parsing" `Quick test_mode_strings;
+          Alcotest.test_case "with_knobs scope" `Quick test_with_knobs;
+        ] );
     ]

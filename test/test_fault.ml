@@ -37,13 +37,15 @@ let sched_of s =
 let tree ~n ~seed = Gen.random_tree ~n ~seed
 
 let flood_chaos ?mode ~n ~seed spec =
-  Chaos.run ?mode ~graph:(tree ~n ~seed)
+  Engine.with_knobs ?mode @@ fun () ->
+  Chaos.run ~graph:(tree ~n ~seed)
     ~problem:(Chaos.Flood { source = 0 })
     ~schedule:(sched_of spec) ()
 
 let mis_chaos ?mode ~n ~seed spec =
+  Engine.with_knobs ?mode @@ fun () ->
   let g = tree ~n ~seed in
-  Chaos.run ?mode ~graph:g
+  Chaos.run ~graph:g
     ~problem:(Chaos.Mis { ids = Ids.permuted ~n:(Graph.n_nodes g) ~seed:(seed + 1) })
     ~schedule:(sched_of spec) ()
 

@@ -1,9 +1,11 @@
-(* Tests for the LOCAL runtime: Runtime, Round_cost, Ids, View. *)
+(* Tests for the LOCAL runtime path (Runtime.compile + Engine), Round_cost,
+   Ids, View. *)
 
 module Graph = Tl_graph.Graph
 module Gen = Tl_graph.Gen
 module Semi_graph = Tl_graph.Semi_graph
 module Runtime = Tl_local.Runtime
+module Engine = Tl_engine.Engine
 module Round_cost = Tl_local.Round_cost
 module Ids = Tl_local.Ids
 module View = Tl_local.View
@@ -12,6 +14,17 @@ let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
 (* ---------- Runtime ---------- *)
+
+(* The path every engine-backed algorithm takes: the cached compile,
+   then the engine in its default mode. *)
+let run ~sg ~init ~step ~halted ~max_rounds =
+  let topo, compile_s, compile_cached = Runtime.compile sg in
+  Engine.run ~compile_s ~compile_cached ~topo ~init ~step ~halted ~max_rounds ()
+
+let run_until_stable ~sg ~init ~step ~equal ~max_rounds =
+  let topo, compile_s, compile_cached = Runtime.compile sg in
+  Engine.run_until_stable ~compile_s ~compile_cached ~topo ~init ~step ~equal
+    ~max_rounds ()
 
 (* Flood a token from node 0: after r rounds exactly the r-ball knows it. *)
 let flood_step ~round:_ ~node:_ state ~neighbors =
@@ -22,46 +35,46 @@ let test_flooding_rounds () =
   let g = Gen.star 8 in
   let sg = Semi_graph.of_graph g in
   let outcome =
-    Runtime.run ~sg
+    run ~sg
       ~init:(fun v -> v = 0)
       ~step:flood_step
       ~halted:(fun s -> s)
       ~max_rounds:10
   in
-  check_int "star floods in one round" 1 outcome.Runtime.rounds
+  check_int "star floods in one round" 1 outcome.Engine.rounds
 
 let test_flooding_completes () =
   let g = Gen.path 10 in
   let sg = Semi_graph.of_graph g in
   (* run until stable: stabilizes exactly when the whole path is flooded *)
   let outcome =
-    Runtime.run_until_stable ~sg
+    run_until_stable ~sg
       ~init:(fun v -> v = 0)
       ~step:flood_step ~equal:( = ) ~max_rounds:100
   in
-  check "all flooded" true (Array.for_all Fun.id outcome.Runtime.states);
+  check "all flooded" true (Array.for_all Fun.id outcome.Engine.states);
   (* path of 10 nodes: 9 rounds to reach the far end *)
-  check_int "rounds" 9 outcome.Runtime.rounds
+  check_int "rounds" 9 outcome.Engine.rounds
 
 let test_halted_early_exit () =
   let g = Gen.star 6 in
   let sg = Semi_graph.of_graph g in
   (* every node halts immediately: 0 rounds *)
   let outcome =
-    Runtime.run ~sg
+    run ~sg
       ~init:(fun _ -> 1)
       ~step:(fun ~round:_ ~node:_ s ~neighbors:_ -> s)
       ~halted:(fun s -> s = 1)
       ~max_rounds:10
   in
-  check_int "zero rounds" 0 outcome.Runtime.rounds
+  check_int "zero rounds" 0 outcome.Engine.rounds
 
 let test_max_rounds_guard () =
   let g = Gen.path 3 in
   let sg = Semi_graph.of_graph g in
   check "raises" true
     (try
-       Runtime.run ~sg
+       run ~sg
          ~init:(fun _ -> 0)
          ~step:(fun ~round:_ ~node:_ s ~neighbors:_ -> s + 1)
          ~halted:(fun _ -> false)
@@ -75,19 +88,19 @@ let test_runtime_respects_semi_graph () =
   let g = Gen.path 5 in
   let sg = Semi_graph.of_node_subset g [| true; true; false; true; true |] in
   let outcome =
-    Runtime.run_until_stable ~sg
+    run_until_stable ~sg
       ~init:(fun v -> v = 0)
       ~step:flood_step ~equal:( = ) ~max_rounds:50
   in
-  check "reached 1" true outcome.Runtime.states.(1);
-  check "did not cross the gap" false outcome.Runtime.states.(3)
+  check "reached 1" true outcome.Engine.states.(1);
+  check "did not cross the gap" false outcome.Engine.states.(3)
 
 let test_swap_is_synchronous () =
   let g = Gen.path 2 in
   let sg = Semi_graph.of_graph g in
   (* run exactly 2 rounds by halting on round counter in state *)
   let outcome =
-    Runtime.run ~sg
+    run ~sg
       ~init:(fun v -> (v, 0))
       ~step:(fun ~round ~node:_ (_, _) ~neighbors ->
         match neighbors with
@@ -97,9 +110,9 @@ let test_swap_is_synchronous () =
       ~max_rounds:10
   in
   (* after 2 swaps states are back *)
-  check_int "node 0 state" 0 (fst outcome.Runtime.states.(0));
-  check_int "node 1 state" 1 (fst outcome.Runtime.states.(1));
-  check_int "rounds" 2 outcome.Runtime.rounds
+  check_int "node 0 state" 0 (fst outcome.Engine.states.(0));
+  check_int "node 1 state" 1 (fst outcome.Engine.states.(1));
+  check_int "rounds" 2 outcome.Engine.rounds
 
 (* ---------- Round_cost ---------- *)
 

@@ -570,7 +570,8 @@ let test_mode_strings () =
         | _ -> false))
     [ "proc:0"; "proc:x"; "proc:" ]
 
-let test_direct_api () =
+(* The proc backend chosen per call, no knob scope around it. *)
+let test_per_call_mode () =
   let g = Gen.random_tree ~n:300 ~seed:7 in
   let topo = Topology.compile (Semi_graph.of_graph g) in
   let seq =
@@ -579,20 +580,20 @@ let test_direct_api () =
       ~step:flood_step ~equal:Bool.equal ~max_rounds:301 ()
   in
   let o =
-    Proc.run_until_stable ~procs:3 ~topo
+    Engine.run_until_stable ~mode:(Engine.Proc 3) ~topo
       ~init:(fun v -> v = 0)
       ~step:flood_step ~equal:Bool.equal ~max_rounds:301 ()
   in
-  check "Proc.run_until_stable" true
+  check "run_until_stable proc:3" true
     (o.Engine.states = seq.Engine.states && o.Engine.rounds = seq.Engine.rounds);
   let o2 =
-    Proc.run ~procs:2 ~topo
+    Engine.run ~mode:(Engine.Proc 2) ~topo
       ~init:(fun v -> v = 0)
       ~step:flood_step
       ~halted:(fun s -> s)
       ~max_rounds:301 ()
   in
-  check "Proc.run" true (o2.Engine.states = seq.Engine.states)
+  check "run proc:2" true (o2.Engine.states = seq.Engine.states)
 
 (* ---------- flat kernels over the wire ---------- *)
 
@@ -711,8 +712,8 @@ let test_theorem1_proc_bit_identical () =
   List.iter
     (fun p ->
       let r =
-        Theorem1.run ~engine:(Engine.Proc p) ~spec:mis_spec ~tree ~ids
-          ~f:Complexity.f_linear ()
+        Engine.with_knobs ~mode:(Engine.Proc p) (fun () ->
+            Theorem1.run ~spec:mis_spec ~tree ~ids ~f:Complexity.f_linear ())
       in
       check
         (Printf.sprintf "Theorem 12 MIS labeling proc:%d" p)
@@ -781,8 +782,7 @@ let () =
       ( "api",
         [
           Alcotest.test_case "mode strings" `Quick test_mode_strings;
-          Alcotest.test_case "direct Proc.run wrappers" `Quick
-            test_direct_api;
+          Alcotest.test_case "per-call proc mode" `Quick test_per_call_mode;
         ] );
       ( "obs",
         [ Alcotest.test_case "per-worker spans" `Quick test_proc_spans ] );

@@ -10,9 +10,7 @@ module Semi_graph = Tl_graph.Semi_graph
 module Topology = Tl_engine.Topology
 module Engine = Tl_engine.Engine
 module Trace = Tl_engine.Trace
-module Pool = Tl_engine.Pool
 module Plan = Tl_shard.Plan
-module Shard = Tl_shard.Shard
 module Ids = Tl_local.Ids
 module Round_cost = Tl_local.Round_cost
 module Span = Tl_obs.Span
@@ -130,11 +128,7 @@ let shard_matches_seq ?(pools = pool_widths) f =
     (fun s ->
       List.for_all
         (fun w ->
-          let saved = !Pool.default_workers in
-          Pool.default_workers := w;
-          Fun.protect
-            ~finally:(fun () -> Pool.default_workers := saved)
-            (fun () ->
+          Engine.with_knobs ~workers:w (fun () ->
               let o, r = outcome_and_records f (Engine.Shard s) in
               o.Engine.rounds = seq_o.Engine.rounds
               && o.Engine.states = seq_o.Engine.states
@@ -278,7 +272,7 @@ let test_empty_present_set () =
         o.Engine.rounds)
     shard_counts
 
-(* ---------- mode strings and direct API ---------- *)
+(* ---------- mode strings ---------- *)
 
 let test_mode_strings () =
   List.iter
@@ -297,35 +291,6 @@ let test_mode_strings () =
         | exception Invalid_argument _ -> true
         | _ -> false))
     [ "shard:0"; "shard:x"; "shard:" ]
-
-let test_direct_api () =
-  let g = Gen.random_tree ~n:300 ~seed:7 in
-  let topo = Topology.compile (Semi_graph.of_graph g) in
-  let seq =
-    Engine.run_until_stable ~mode:Engine.Seq ~topo
-      ~init:(fun v -> v = 0)
-      ~step:flood_step ~equal:Bool.equal ~max_rounds:301 ()
-  in
-  List.iter
-    (fun pool ->
-      let o =
-        Shard.run_until_stable ~shards:5 ~pool ~topo
-          ~init:(fun v -> v = 0)
-          ~step:flood_step ~equal:Bool.equal ~max_rounds:301 ()
-      in
-      check (Printf.sprintf "Shard.run_until_stable pool:%d" pool) true
-        (o.Engine.states = seq.Engine.states
-        && o.Engine.rounds = seq.Engine.rounds))
-    pool_widths;
-  (* the scoped ?pool override must restore the ambient width *)
-  let saved = !Pool.default_workers in
-  ignore
-    (Shard.run ~shards:3 ~pool:2 ~topo
-       ~init:(fun v -> v = 0)
-       ~step:flood_step
-       ~halted:(fun s -> s)
-       ~max_rounds:301 ());
-  check_int "pool width restored" saved !Pool.default_workers
 
 (* ---------- spans: the per-shard observability contract ---------- *)
 
@@ -488,8 +453,9 @@ let prop_theorem1_sharded_bit_identical =
           List.for_all
             (fun w ->
               let r =
-                Theorem1.run ~engine:(Engine.Shard s) ~workers:w
-                  ~spec:mis_spec ~tree ~ids ~f:Complexity.f_linear ()
+                Engine.with_knobs ~mode:(Engine.Shard s) ~workers:w (fun () ->
+                    Theorem1.run ~spec:mis_spec ~tree ~ids
+                      ~f:Complexity.f_linear ())
               in
               labels_equal tree seq.Theorem1.labeling r.Theorem1.labeling
               && Round_cost.phases seq.Theorem1.cost
@@ -511,22 +477,14 @@ let prop_theorem2_sharded_bit_identical =
       List.for_all
         (fun s ->
           let r =
-            Theorem2.run ~engine:(Engine.Shard s) ~workers:4
-              ~spec:matching_spec ~graph ~a:2 ~ids ~f:Complexity.f_linear ()
+            Engine.with_knobs ~mode:(Engine.Shard s) ~workers:4 (fun () ->
+                Theorem2.run ~spec:matching_spec ~graph ~a:2 ~ids
+                  ~f:Complexity.f_linear ())
           in
           labels_equal graph seq.Theorem2.labeling r.Theorem2.labeling
           && Round_cost.phases seq.Theorem2.cost
              = Round_cost.phases r.Theorem2.cost)
         shard_counts)
-
-let test_engine_knob_restores_default () =
-  let saved = !Engine.default_mode in
-  let tree = Gen.random_tree ~n:60 ~seed:21 in
-  let ids = Ids.permuted ~n:60 ~seed:22 in
-  ignore
-    (Theorem1.run ~engine:(Engine.Shard 3) ~spec:mis_spec ~tree ~ids
-       ~f:Complexity.f_linear ());
-  check "default mode restored" true (!Engine.default_mode = saved)
 
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
@@ -556,12 +514,7 @@ let () =
           Alcotest.test_case "empty present set" `Quick
             test_empty_present_set;
         ] );
-      ( "api",
-        [
-          Alcotest.test_case "mode strings" `Quick test_mode_strings;
-          Alcotest.test_case "direct Shard.run wrappers" `Quick
-            test_direct_api;
-        ] );
+      ("api", [ Alcotest.test_case "mode strings" `Quick test_mode_strings ]);
       ( "obs",
         [ Alcotest.test_case "per-shard spans" `Quick test_shard_spans ] );
       ( "theorems",
@@ -569,9 +522,5 @@ let () =
           [
             prop_theorem1_sharded_bit_identical;
             prop_theorem2_sharded_bit_identical;
-          ]
-        @ [
-            Alcotest.test_case "engine knob restores default" `Quick
-              test_engine_knob_restores_default;
           ] );
     ]
