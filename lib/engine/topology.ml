@@ -135,10 +135,3 @@ let neighbor_nodes t v =
     acc := t.adj.(i) :: !acc
   done;
   !acc
-
-let neighbor_pairs t v =
-  let acc = ref [] in
-  for i = t.off.(v + 1) - 1 downto t.off.(v) do
-    acc := (t.adj.(i), t.eid.(i)) :: !acc
-  done;
-  !acc

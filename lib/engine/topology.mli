@@ -71,7 +71,3 @@ val neighbor_nodes : t -> int -> int list
 (** Present rank-2 neighbor ids of a node, ascending incident order —
     the CSR equivalent of
     [List.map fst (Semi_graph.rank2_neighbors sg v)]. *)
-
-val neighbor_pairs : t -> int -> (int * int) list
-(** [(neighbor, edge)] pairs, identical order and contents to
-    [Semi_graph.rank2_neighbors sg v]. *)

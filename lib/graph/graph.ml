@@ -107,27 +107,6 @@ let fold_edges f g acc =
 let iter_edges f g = Array.iteri f g.edges
 let edge_list g = Array.to_list g.edges
 
-let line_graph g =
-  let m = n_edges g in
-  let pairs = Hashtbl.create (4 * m) in
-  let add e1 e2 =
-    if e1 <> e2 then begin
-      let p = order_pair e1 e2 in
-      if not (Hashtbl.mem pairs p) then Hashtbl.add pairs p ()
-    end
-  in
-  for v = 0 to g.n - 1 do
-    let ivec = g.inc.(v) in
-    let d = Array.length ivec in
-    for i = 0 to d - 1 do
-      for j = i + 1 to d - 1 do
-        add ivec.(i) ivec.(j)
-      done
-    done
-  done;
-  let edges = Hashtbl.fold (fun p () acc -> p :: acc) pairs [] in
-  (of_edges ~n:m edges, fun e -> e)
-
 let induced g nodes =
   let keep = Array.make g.n (-1) in
   let count = ref 0 in

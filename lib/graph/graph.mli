@@ -85,11 +85,6 @@ val edge_list : t -> (int * int) list
 
 (** {1 Derived graphs} *)
 
-val line_graph : t -> t * (int -> int)
-(** [line_graph g] is the line graph [l] of [g] — one node per edge of [g],
-    adjacent iff the edges share an endpoint — together with the identity
-    mapping from [l]-nodes to [g]-edge ids. *)
-
 val induced : t -> int list -> t * int array
 (** [induced g nodes] is the subgraph induced by [nodes] (node-induced),
     with nodes renumbered [0..]; the returned array maps new ids to the

@@ -1,4 +1,5 @@
 module Graph = Tl_graph.Graph
+module Semi_graph = Tl_graph.Semi_graph
 
 type label = int
 
@@ -41,15 +42,18 @@ let decode g labeling =
   Array.init (Graph.n_nodes g) (fun v ->
       match Labeling.labels_at_node labeling v with [] -> 1 | c :: _ -> c)
 
+let write sg colors labeling =
+  let g = Semi_graph.base sg in
+  for h = 0 to Graph.n_half_edges g - 1 do
+    if Semi_graph.half_edge_present sg h then
+      Labeling.set labeling h colors.(Graph.half_edge_node g h)
+  done
+
 let encode g colors =
   if not (Tl_graph.Props.is_proper_coloring g colors) then
     invalid_arg "Coloring.encode: not a proper coloring";
   let labeling = Labeling.create g in
-  for v = 0 to Graph.n_nodes g - 1 do
-    List.iter
-      (fun h -> Labeling.set labeling h colors.(v))
-      (Graph.half_edges_of g v)
-  done;
+  write (Semi_graph.of_graph g) colors labeling;
   labeling
 
 let solve_edge_list g labeling ~nodes =

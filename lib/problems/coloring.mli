@@ -20,8 +20,16 @@ val decode : Tl_graph.Graph.t -> label Labeling.t -> int array
 (** Color per node, read off any labeled half-edge ([1] for isolated
     nodes). *)
 
+val write :
+  Tl_graph.Semi_graph.t -> int array -> label Labeling.t -> unit
+(** The one writer of this encoding, for whole graphs and semi-graph
+    views alike: [write sg colors l] writes [colors.(v)] (1-based, indexed
+    by base node) on every present half-edge of each present node [v].
+    Rank-1 rule: a rank-1 edge carries its present node's colour. Raises
+    [Invalid_argument] if a half-edge is already labeled. *)
+
 val encode : Tl_graph.Graph.t -> int array -> label Labeling.t
-(** Encode a proper coloring (colors written on all half-edges). Raises
+(** Encode a proper coloring: {!write} on the whole graph. Raises
     [Invalid_argument] if not proper. *)
 
 val solve_edge_list :

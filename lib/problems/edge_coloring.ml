@@ -1,4 +1,5 @@
 module Graph = Tl_graph.Graph
+module Semi_graph = Tl_graph.Semi_graph
 
 type label = Pair of int * int | D
 
@@ -57,20 +58,41 @@ let decode g labeling =
       | Pair (_, b) :: _ -> b
       | _ -> 0)
 
+let write sg colors labeling =
+  let g = Semi_graph.base sg in
+  let present = Semi_graph.node_present sg in
+  let udeg = Array.make (Graph.n_nodes g) 0 in
+  Graph.iter_edges
+    (fun e (u, v) ->
+      if Semi_graph.edge_present sg e && present u && present v then begin
+        udeg.(u) <- udeg.(u) + 1;
+        udeg.(v) <- udeg.(v) + 1
+      end)
+    g;
+  for h = 0 to Graph.n_half_edges g - 1 do
+    if Semi_graph.half_edge_present sg h then begin
+      let e = Graph.half_edge_edge h in
+      let u, v = Graph.edge_endpoints g e in
+      Labeling.set labeling h
+        (if not (present u && present v) then D
+         else
+           let b = colors.(e) in
+           let a1 = min udeg.(u) b in
+           if h = Graph.half_edge g ~edge:e ~node:u then Pair (a1, b)
+           else Pair (max 1 (b + 1 - a1), b))
+    end
+  done
+
 let encode g colors =
   if not (Tl_graph.Props.is_proper_edge_coloring g colors) then
     invalid_arg "Edge_coloring.encode: not proper";
-  let labeling = Labeling.create g in
   Graph.iter_edges
-    (fun e (u, v) ->
-      let b = colors.(e) in
-      if b < 1 || b > Tl_graph.Props.edge_degree g e + 1 then
-        invalid_arg "Edge_coloring.encode: color out of palette";
-      let a1 = min (Graph.degree g u) b in
-      let a2 = max 1 (b + 1 - a1) in
-      Labeling.set labeling (Graph.half_edge g ~edge:e ~node:u) (Pair (a1, b));
-      Labeling.set labeling (Graph.half_edge g ~edge:e ~node:v) (Pair (a2, b)))
+    (fun e _ ->
+      if colors.(e) < 1 || colors.(e) > Tl_graph.Props.edge_degree g e + 1 then
+        invalid_arg "Edge_coloring.encode: color out of palette")
     g;
+  let labeling = Labeling.create g in
+  write (Semi_graph.of_graph g) colors labeling;
   labeling
 
 let colored_count labeling v =

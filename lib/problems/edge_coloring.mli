@@ -22,9 +22,21 @@ val problem_two_delta : delta:int -> label Nec.t
 val decode : Tl_graph.Graph.t -> label Labeling.t -> int array
 (** Color part per edge id ([0] if unlabeled or dangling). *)
 
+val write :
+  Tl_graph.Semi_graph.t -> int array -> label Labeling.t -> unit
+(** The one writer of this encoding, for whole graphs and semi-graph
+    views alike: [write sg colors l] labels exactly the present
+    half-edges of [sg]. A rank-2 edge [{u, v}] ([u < v]) of colour
+    [b = colors.(e)] (1-based, indexed by base edge) gets [(a1, b)] at [u]
+    and [(max 1 (b + 1 - a1), b)] at [v], where [a1 = min (udeg u) b] and
+    [udeg] is the underlying degree. Rank-1 rule: a rank-1 edge carries
+    [D] at its present endpoint. Raises [Invalid_argument] if a half-edge
+    is already labeled. *)
+
 val encode : Tl_graph.Graph.t -> int array -> label Labeling.t
 (** Encode a proper edge coloring with [color e <= edge_degree e + 1]
-    (colors are positive). Raises [Invalid_argument] otherwise. *)
+    (colors are positive): {!write} on the whole graph. Raises
+    [Invalid_argument] otherwise. *)
 
 val solve_node_list :
   Tl_graph.Graph.t -> label Labeling.t -> edges:int list -> unit

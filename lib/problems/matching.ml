@@ -1,4 +1,5 @@
 module Graph = Tl_graph.Graph
+module Semi_graph = Tl_graph.Semi_graph
 
 type label = M | P | O | D
 
@@ -31,11 +32,9 @@ let decode g labeling =
       | [ M; M ] -> true
       | _ -> false)
 
-let encode g in_matching =
-  if not (Tl_graph.Props.is_maximal_matching g in_matching) then
-    invalid_arg "Matching.encode: not a maximal matching";
-  let n = Graph.n_nodes g in
-  let matched = Array.make n false in
+let write sg in_matching labeling =
+  let g = Semi_graph.base sg in
+  let matched = Array.make (Graph.n_nodes g) false in
   Graph.iter_edges
     (fun e (u, v) ->
       if in_matching.(e) then begin
@@ -43,20 +42,23 @@ let encode g in_matching =
         matched.(v) <- true
       end)
     g;
+  for h = 0 to Graph.n_half_edges g - 1 do
+    if Semi_graph.half_edge_present sg h then begin
+      let e = Graph.half_edge_edge h in
+      let u = Graph.half_edge_node g (Graph.opposite_half_edge h) in
+      Labeling.set labeling h
+        (if not (Semi_graph.node_present sg u) then D
+         else if in_matching.(e) then M
+         else if matched.(Graph.half_edge_node g h) then P
+         else O)
+    end
+  done
+
+let encode g in_matching =
+  if not (Tl_graph.Props.is_maximal_matching g in_matching) then
+    invalid_arg "Matching.encode: not a maximal matching";
   let labeling = Labeling.create g in
-  Graph.iter_edges
-    (fun e (u, v) ->
-      let hu = Graph.half_edge g ~edge:e ~node:u in
-      let hv = Graph.half_edge g ~edge:e ~node:v in
-      if in_matching.(e) then begin
-        Labeling.set labeling hu M;
-        Labeling.set labeling hv M
-      end
-      else begin
-        Labeling.set labeling hu (if matched.(u) then P else O);
-        Labeling.set labeling hv (if matched.(v) then P else O)
-      end)
-    g;
+  write (Semi_graph.of_graph g) in_matching labeling;
   labeling
 
 let has_m labeling v =

@@ -14,9 +14,21 @@ val problem : label Nec.t
 val decode : Tl_graph.Graph.t -> label Labeling.t -> bool array
 (** [in_matching] per edge id: both half-edges labeled [M]. *)
 
+val write :
+  Tl_graph.Semi_graph.t -> bool array -> label Labeling.t -> unit
+(** The one writer of this encoding, for whole graphs and semi-graph
+    views alike: [write sg in_matching l] labels exactly the present
+    half-edges of [sg] — [M,M] on a matched rank-2 edge, and on an
+    unmatched one [P] at a matched endpoint and [O] at an unmatched one.
+    Rank-1 rule: a rank-1 edge carries [D] at its present endpoint.
+    [in_matching] is indexed by base edge and may mark only present
+    rank-2 edges. Raises [Invalid_argument] if a half-edge is already
+    labeled. *)
+
 val encode : Tl_graph.Graph.t -> bool array -> label Labeling.t
-(** Encode a maximal matching per Section 5.2. Raises [Invalid_argument]
-    if the edge set is not a maximal matching. *)
+(** Encode a maximal matching per Section 5.2: {!write} on the whole
+    graph. Raises [Invalid_argument] if the edge set is not a maximal
+    matching. *)
 
 val solve_node_list :
   Tl_graph.Graph.t -> label Labeling.t -> edges:int list -> unit

@@ -1,4 +1,5 @@
 module Graph = Tl_graph.Graph
+module Semi_graph = Tl_graph.Semi_graph
 
 type label = M | P | O
 
@@ -36,28 +37,37 @@ let decode g labeling =
   Array.init (Graph.n_nodes g) (fun v ->
       List.for_all (( = ) M) (Labeling.labels_at_node labeling v))
 
+let write sg in_mis labeling =
+  let g = Semi_graph.base sg in
+  for v = 0 to Graph.n_nodes g - 1 do
+    if Semi_graph.node_present sg v then begin
+      let adj = Graph.neighbors g v in
+      let pointed = ref false in
+      Array.iteri
+        (fun i e ->
+          if Semi_graph.edge_present sg e then begin
+            let u = adj.(i) in
+            let l =
+              if in_mis.(v) then M
+              else if
+                (not !pointed) && Semi_graph.node_present sg u && in_mis.(u)
+              then begin
+                pointed := true;
+                P
+              end
+              else O
+            in
+            Labeling.set labeling (Graph.half_edge g ~edge:e ~node:v) l
+          end)
+        (Graph.incident g v)
+    end
+  done
+
 let encode g in_mis =
   if not (Tl_graph.Props.is_maximal_independent_set g in_mis) then
     invalid_arg "Mis.encode: not a maximal independent set";
   let labeling = Labeling.create g in
-  for v = 0 to Graph.n_nodes g - 1 do
-    if in_mis.(v) then
-      List.iter (fun h -> Labeling.set labeling h M) (Graph.half_edges_of g v)
-    else begin
-      (* point at the first MIS neighbor; O on the rest *)
-      let pointed = ref false in
-      Array.iteri
-        (fun i e ->
-          let u = (Graph.neighbors g v).(i) in
-          let h = Graph.half_edge g ~edge:e ~node:v in
-          if in_mis.(u) && not !pointed then begin
-            pointed := true;
-            Labeling.set labeling h P
-          end
-          else Labeling.set labeling h O)
-        (Graph.incident g v)
-    end
-  done;
+  write (Semi_graph.of_graph g) in_mis labeling;
   labeling
 
 let label_all_halfedges g labeling v l =

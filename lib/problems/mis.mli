@@ -19,10 +19,21 @@ val decode : Tl_graph.Graph.t -> label Labeling.t -> bool array
 (** [in_mis] per node: all half-edges labeled [M] (vacuously true for
     isolated nodes). *)
 
+val write :
+  Tl_graph.Semi_graph.t -> bool array -> label Labeling.t -> unit
+(** The one writer of this encoding, for whole graphs and semi-graph
+    views alike: [write sg in_mis l] labels exactly the present half-edges
+    of [sg] — [M] everywhere at a node with [in_mis], otherwise one [P]
+    towards the first (incident-order) present MIS neighbour across a
+    rank-2 edge and [O] on the rest. Rank-1 rule: a rank-1 edge carries
+    [M] at an MIS node and [O] otherwise, never [P]. [in_mis] is indexed
+    by base node and read only at present nodes. Raises
+    [Invalid_argument] if a half-edge is already labeled. *)
+
 val encode : Tl_graph.Graph.t -> bool array -> label Labeling.t
 (** Encode a maximal independent set as a valid labeling (1-round
-    transformation of Section 5). Raises [Invalid_argument] if the set is
-    not a maximal independent set. *)
+    transformation of Section 5): {!write} on the whole graph. Raises
+    [Invalid_argument] if the set is not a maximal independent set. *)
 
 val solve_edge_list :
   Tl_graph.Graph.t -> label Labeling.t -> nodes:int list -> unit

@@ -67,18 +67,6 @@ let test_adjacency_alignment () =
       check "aligned" true ((x = 0 && y = u) || (x = u && y = 0)))
     adj
 
-let test_line_graph () =
-  (* path 0-1-2-3: line graph is a path on 3 nodes *)
-  let g = Gen.path 4 in
-  let lg, _ = Graph.line_graph g in
-  check_int "lg nodes" 3 (Graph.n_nodes lg);
-  check_int "lg edges" 2 (Graph.n_edges lg);
-  (* star: line graph of K_{1,4} is K_4 *)
-  let s = Gen.star 5 in
-  let ls, _ = Graph.line_graph s in
-  check_int "ls nodes" 4 (Graph.n_nodes ls);
-  check_int "ls edges" 6 (Graph.n_edges ls)
-
 let test_induced () =
   let g = Gen.cycle 5 in
   let sub, old_of_new = Graph.induced g [ 0; 1; 2 ] in
@@ -364,16 +352,6 @@ let prop_balanced_tree_sizes =
       let t = Gen.balanced_regular_tree ~delta ~n in
       Graph.n_nodes t = n && Props.is_tree t && Graph.max_degree t <= delta)
 
-let prop_line_graph_degrees =
-  QCheck.Test.make ~name:"line graph degree equals edge degree" ~count:50
-    QCheck.(pair (int_range 2 80) (int_range 0 100000))
-    (fun (n, seed) ->
-      let g = Gen.random_tree ~n ~seed in
-      let lg, edge_of = Graph.line_graph g in
-      List.for_all
-        (fun e -> Graph.degree lg e = Props.edge_degree g (edge_of e))
-        (List.init (Graph.n_edges g) Fun.id))
-
 let prop_semi_masks_consistent =
   QCheck.Test.make ~name:"semi-graph rank/degree consistency" ~count:80
     QCheck.(triple (int_range 2 60) (int_range 0 100000) (int_range 0 100000))
@@ -415,7 +393,6 @@ let qcheck_tests =
       prop_prufer_degree_sum;
       prop_forest_union_arboricity;
       prop_balanced_tree_sizes;
-      prop_line_graph_degrees;
       prop_semi_masks_consistent;
       prop_degeneracy_bounds_nash_williams;
       prop_diameter_vs_eccentricity;
@@ -432,7 +409,6 @@ let () =
           Alcotest.test_case "half edges" `Quick test_half_edges;
           Alcotest.test_case "other endpoint" `Quick test_other_endpoint;
           Alcotest.test_case "adjacency alignment" `Quick test_adjacency_alignment;
-          Alcotest.test_case "line graph" `Quick test_line_graph;
           Alcotest.test_case "induced subgraph" `Quick test_induced;
         ] );
       ( "generators",

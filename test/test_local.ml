@@ -1,5 +1,5 @@
 (* Tests for the LOCAL runtime path (Runtime.compile + Engine), Round_cost,
-   Ids, View. *)
+   Ids, Gather. *)
 
 module Graph = Tl_graph.Graph
 module Gen = Tl_graph.Gen
@@ -8,7 +8,6 @@ module Runtime = Tl_local.Runtime
 module Engine = Tl_engine.Engine
 module Round_cost = Tl_local.Round_cost
 module Ids = Tl_local.Ids
-module View = Tl_local.View
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -156,23 +155,7 @@ let prop_permuted_is_permutation =
       Array.sort compare sorted;
       sorted = Array.init n (fun i -> i + 1))
 
-(* ---------- View ---------- *)
-
-let test_ball () =
-  let g = Gen.path 7 in
-  let sg = Semi_graph.of_graph g in
-  check "ball 0" true (View.ball sg ~center:3 ~radius:0 = [ 3 ]);
-  check "ball 1" true (View.ball sg ~center:3 ~radius:1 = [ 2; 3; 4 ]);
-  check "ball big" true
-    (View.ball sg ~center:3 ~radius:10 = [ 0; 1; 2; 3; 4; 5; 6 ])
-
-let test_gather_cost () =
-  let g = Gen.path 5 in
-  let sg = Semi_graph.of_graph g in
-  check_int "center of path" (2 * 2) (View.gather_cost sg ~center:2);
-  check_int "end of path" (2 * 4) (View.gather_cost sg ~center:0);
-  let comp = [ 0; 1; 2; 3; 4 ] in
-  check_int "radius needed" 4 (View.radius_needed sg ~component:comp ~center:0)
+(* ---------- Gather ---------- *)
 
 let test_gather_flooding_matches_eccentricity () =
   (* the executable full-information flooding must cost exactly the
@@ -184,7 +167,7 @@ let test_gather_flooding_matches_eccentricity () =
         (Semi_graph.underlying_eccentricity sg center)
         (Tl_local.Gather.knowledge_rounds sg ~center);
       check_int "round trip = 2 ecc"
-        (View.gather_cost sg ~center)
+        (2 * Semi_graph.underlying_eccentricity sg center)
         (Tl_local.Gather.round_trip_cost sg ~center))
     [
       (Gen.path 9, 0);
@@ -248,11 +231,6 @@ let () =
         [
           Alcotest.test_case "assignments" `Quick test_ids;
           QCheck_alcotest.to_alcotest prop_permuted_is_permutation;
-        ] );
-      ( "view",
-        [
-          Alcotest.test_case "balls" `Quick test_ball;
-          Alcotest.test_case "gather cost" `Quick test_gather_cost;
         ] );
       ( "gather",
         [

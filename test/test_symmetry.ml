@@ -202,27 +202,38 @@ let test_to_bound_deg_plus_one () =
 
 (* ---------- Algos: base algorithms on semi-graphs ---------- *)
 
-let run_all_problems g seed =
+(* Every base algorithm on one view: its problem's writer labels exactly
+   the present half-edges (rank-1 edges included) and the labeling is
+   valid on the semi-graph. *)
+let run_all_problems sg ~ids =
+  let g = Semi_graph.base sg in
+  let ok problem algo =
+    let l = Labeling.create g in
+    ignore (algo sg ~ids l);
+    List.for_all
+      (fun h -> Labeling.is_labeled l h = Semi_graph.half_edge_present sg h)
+      (List.init (Graph.n_half_edges g) Fun.id)
+    && Nec.validate_semi problem sg l = []
+  in
+  ok Tl_problems.Coloring.problem_deg_plus_one Algos.deg_plus_one_coloring
+  && ok Tl_problems.Mis.problem Algos.mis
+  && ok Tl_problems.Matching.problem Algos.maximal_matching
+  && ok Tl_problems.Edge_coloring.problem Algos.edge_coloring
+
+(* The whole graph, then a seeded random node-subset view of it. *)
+let run_all_on_graph_and_view g seed =
   let n = Graph.n_nodes g in
-  let sg = Semi_graph.of_graph g in
   let ids = Ids.permuted ~n ~seed in
-  let l1 = Labeling.create g in
-  let _ = Algos.deg_plus_one_coloring sg ~ids l1 in
-  let ok1 = Nec.is_valid Tl_problems.Coloring.problem_deg_plus_one g l1 in
-  let l2 = Labeling.create g in
-  let _ = Algos.mis sg ~ids l2 in
-  let ok2 = Nec.is_valid Tl_problems.Mis.problem g l2 in
-  let l3 = Labeling.create g in
-  let _ = Algos.maximal_matching sg ~ids l3 in
-  let ok3 = Nec.is_valid Tl_problems.Matching.problem g l3 in
-  let l4 = Labeling.create g in
-  let _ = Algos.edge_coloring sg ~ids l4 in
-  let ok4 = Nec.is_valid Tl_problems.Edge_coloring.problem g l4 in
-  ok1 && ok2 && ok3 && ok4
+  let rng = Gen.Prng.create (seed + 17) in
+  let mask = Array.init n (fun _ -> Gen.Prng.int rng 2 = 0) in
+  run_all_problems (Semi_graph.of_graph g) ~ids
+  && run_all_problems (Semi_graph.of_node_subset g mask) ~ids
 
 let test_algos_on_families () =
   List.iter
-    (fun (name, g) -> check name true (run_all_problems g 41))
+    (fun (name, g) ->
+      let ids = Ids.permuted ~n:(Graph.n_nodes g) ~seed:41 in
+      check name true (run_all_problems (Semi_graph.of_graph g) ~ids))
     [
       ("path", Gen.path 40);
       ("star", Gen.star 30);
@@ -241,14 +252,22 @@ let test_algos_on_semi_graph_with_rank1 () =
   let g = Gen.path 12 in
   let mask = Array.init 12 (fun v -> v mod 4 < 2) in
   let sg = Semi_graph.of_node_subset g mask in
-  let ids = Ids.identity 12 in
-  let l = Labeling.create g in
-  let _ = Algos.mis sg ~ids l in
-  check "valid on semi" true (Nec.validate_semi Tl_problems.Mis.problem sg l = []);
-  let l2 = Labeling.create g in
-  let _ = Algos.deg_plus_one_coloring sg ~ids l2 in
-  check "coloring valid on semi" true
-    (Nec.validate_semi Tl_problems.Coloring.problem_deg_plus_one sg l2 = [])
+  check "all problems valid on semi" true
+    (run_all_problems sg ~ids:(Ids.identity 12))
+
+(* On a whole graph the line structure is the line graph, its nodes the
+   edges in id order. *)
+let test_line_graph () =
+  let line g = Algos.line_structure (Semi_graph.of_graph g) in
+  (* path 0-1-2-3: line graph is a path on 3 nodes *)
+  let lg, edge_of = line (Gen.path 4) in
+  check_int "lg nodes" 3 (Graph.n_nodes lg);
+  check_int "lg edges" 2 (Graph.n_edges lg);
+  check "edge_of is the identity" true (edge_of = [| 0; 1; 2 |]);
+  (* star: line graph of K_{1,4} is K_4 *)
+  let ls, _ = line (Gen.star 5) in
+  check_int "ls nodes" 4 (Graph.n_nodes ls);
+  check_int "ls edges" 6 (Graph.n_edges ls)
 
 let test_line_structure () =
   let g = Gen.path 5 in
@@ -291,14 +310,31 @@ let prop_cv_proper =
 let prop_algos_valid_on_random_trees =
   QCheck.Test.make ~name:"base algorithms valid on random trees" ~count:25
     QCheck.(pair (int_range 1 120) (int_range 0 100000))
-    (fun (n, seed) -> run_all_problems (Gen.random_tree ~n ~seed) (seed + 9))
+    (fun (n, seed) ->
+      run_all_on_graph_and_view (Gen.random_tree ~n ~seed) (seed + 9))
 
 let prop_algos_valid_on_arb_graphs =
   QCheck.Test.make ~name:"base algorithms valid on arboricity-a graphs"
     ~count:15
     QCheck.(triple (int_range 2 80) (int_range 1 3) (int_range 0 100000))
     (fun (n, a, seed) ->
-      run_all_problems (Gen.forest_union ~n ~arboricity:a ~seed) (seed + 3))
+      run_all_on_graph_and_view
+        (Gen.forest_union ~n ~arboricity:a ~seed)
+        (seed + 3))
+
+(* Line-node degree is the edge degree d(u) + d(v) - 2. *)
+let prop_line_graph_degrees =
+  QCheck.Test.make ~name:"line graph degree equals edge degree" ~count:50
+    QCheck.(pair (int_range 2 80) (int_range 0 100000))
+    (fun (n, seed) ->
+      let g = Gen.random_tree ~n ~seed in
+      let lg, edge_of = Algos.line_structure (Semi_graph.of_graph g) in
+      edge_of = Array.init (Graph.n_edges g) Fun.id
+      && List.for_all
+           (fun i ->
+             let u, v = Graph.edge_endpoints g edge_of.(i) in
+             Graph.degree lg i = Graph.degree g u + Graph.degree g v - 2)
+           (List.init (Graph.n_nodes lg) Fun.id))
 
 let prop_linial_step_keeps_proper =
   QCheck.Test.make ~name:"Linial step preserves properness" ~count:40
@@ -352,6 +388,7 @@ let qcheck_tests =
       prop_cv_runtime_proper;
       prop_algos_valid_on_random_trees;
       prop_algos_valid_on_arb_graphs;
+      prop_line_graph_degrees;
       prop_linial_step_keeps_proper;
     ]
 
@@ -383,6 +420,7 @@ let () =
         [
           Alcotest.test_case "all problems, all families" `Quick test_algos_on_families;
           Alcotest.test_case "semi-graphs with rank-1 edges" `Quick test_algos_on_semi_graph_with_rank1;
+          Alcotest.test_case "line graph" `Quick test_line_graph;
           Alcotest.test_case "line structure" `Quick test_line_structure;
           Alcotest.test_case "truly local rounds" `Quick test_rounds_depend_on_degree_not_n;
           Alcotest.test_case "linial trace carries the compile" `Quick
